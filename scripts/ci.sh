@@ -7,6 +7,16 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# A finished remote sweep must leave no agent (or agent worker) behind.
+assert_no_agents() {
+    if pgrep -f "repro sweep-agent" >/dev/null; then
+        echo "leaked sweep agents after $1:" >&2
+        pgrep -af "repro sweep-agent" >&2
+        exit 1
+    fi
+    echo "no sweep-agent process survived $1"
+}
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
@@ -152,6 +162,7 @@ python -m repro sweep "${SWEEP_ARGS[@]}" --no-cache \
 cmp "$SWEEP_TMP/remote.json" "$SWEEP_TMP/seq.json"
 test -s "$SWEEP_TMP/remote.json.hosts.json"
 echo "2-host loopback sweep: byte-identical report, host sidecar written"
+assert_no_agents "the distributed sweep smoke"
 
 echo "== distributed sweep fault smoke (agent killed mid-run heals, journal armed) =="
 python - "$(mktemp -d)" <<'PYEOF'
@@ -225,6 +236,7 @@ print(f"timeline has {len(lanes)} lanes; profile covers "
 PYEOF
 cmp "$OBS_TMP/stripped.json" "$SWEEP_TMP/seq.json"
 echo "journal-armed report minus timing/profile is byte-identical to journal-off"
+assert_no_agents "the observability smoke"
 
 echo "== trace smoke (run -> export -> audit) =="
 TRACE_TMP="$(mktemp -d)"

@@ -468,7 +468,7 @@ def bench_sweep(
     workload and drives the per-access object stream, exactly what a
     plain ``for cell in grid`` runner costs.  The pool arm runs the same
     declarative cells cold (empty result cache) through
-    :func:`~repro.sweep.pool.run_sweep`: persistent workers, one shared
+    :func:`~repro.sweep.scheduler.run_sweep`: persistent workers, one shared
     numeric stream per distinct workload, array-replay per cell.
     ``identical`` asserts the pool's merged payloads equal the
     sequential results field for field — sharing construction must

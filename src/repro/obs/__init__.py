@@ -1,7 +1,7 @@
 """Control-plane observability: journal, live status, timeline, profiler.
 
-The schedulers (:mod:`repro.sweep.pool`, :mod:`repro.sweep.remote`)
-talk to exactly one object — :class:`SweepObserver` — which fans each
+The sweep scheduler (:mod:`repro.sweep.scheduler`) and its agents
+(:mod:`repro.sweep.remote`) talk to exactly one object — :class:`SweepObserver` — which fans each
 structured event out to up to three sinks:
 
 * the **progress callback** (the pre-PR-10 ``note`` lines, rendered
@@ -12,7 +12,7 @@ structured event out to up to three sinks:
 
 All three sinks are optional; a bare ``SweepObserver()`` is a correct
 null observer, which is how journal-off sweeps stay byte-identical —
-the schedulers always emit, the observer decides whether anything
+the scheduler always emits, the observer decides whether anything
 listens.
 """
 
@@ -87,8 +87,8 @@ _TIMED_OUTCOMES = {
 class SweepObserver:
     """Fan-out for scheduler events; every sink is optional.
 
-    The schedulers never format prose and never check whether a journal
-    is armed — they call :meth:`emit`/:meth:`begin`/:meth:`end` and this
+    The scheduler never formats prose and never checks whether a journal
+    is armed — it calls :meth:`emit`/:meth:`begin`/:meth:`end` and this
     object routes to whichever sinks exist.
     """
 

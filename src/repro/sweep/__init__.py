@@ -1,37 +1,42 @@
 """``repro.sweep`` — parallel sweep orchestration with crash isolation.
 
 Shards an arbitrary (policy × workload × seed × config) cell grid
-across a pool of persistent worker processes and merges results
+across persistent worker processes and merges results
 deterministically: cell ids key the merge, spec order keys the output,
 and payloads round-trip through JSON in the workers, so a parallel
 sweep over deterministic cells is byte-identical to the sequential run.
 A content-addressed result cache (keyed by per-cell fingerprint) makes
 re-runs of unchanged cells free.
 
-Declarative grids also shard across *machines*: ``run_remote_sweep``
-fans cells out to ``repro sweep-agent`` host agents over a versioned
-JSON wire format (:mod:`repro.sweep.wire`), supervises them with
-leases and heartbeats, re-dispatches work from lost hosts, and — if
-every host dies — finishes the sweep on the local pool.  See
-DESIGN.md §7.
+One lease scheduler (:mod:`repro.sweep.scheduler`) runs every sweep.
+It leases cells to hosts of two kinds: the driver's own *local host*,
+forked directly over pipes (``run_sweep``), and ``repro sweep-agent``
+*agent hosts* reached over a versioned JSON wire format
+(:mod:`repro.sweep.wire`, :mod:`repro.sweep.remote`;
+``run_remote_sweep``).  Both kinds run cells on the one worker pool
+(:mod:`repro.sweep.pool`).  The scheduler supervises agents with leases
+and heartbeats, re-dispatches work from lost hosts, and — if every
+agent dies — adds a local host and finishes the sweep there.  The
+driver is threadless: one ``connection.wait`` watches every worker
+pipe and every agent's stdout.  See DESIGN.md §7.
 """
 
 from repro.sweep.manifest import Manifest, ResultCache, atomic_write_json
-from repro.sweep.pool import (
-    DEFAULT_MAX_ATTEMPTS,
-    CellOutcome,
-    SweepInterrupted,
-    SweepResult,
-    run_sweep,
-)
-from repro.sweep.report import build_report, write_report
 from repro.sweep.remote import (
     DEFAULT_HEARTBEAT_S,
-    DEFAULT_STRAGGLER_FACTOR,
     HostOutcome,
     HostSpec,
     parse_hosts,
+)
+from repro.sweep.report import build_report, write_report
+from repro.sweep.scheduler import (
+    DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_STRAGGLER_FACTOR,
+    CellOutcome,
+    SweepInterrupted,
+    SweepResult,
     run_remote_sweep,
+    run_sweep,
 )
 from repro.sweep.spec import (
     SweepCell,

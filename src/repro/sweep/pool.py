@@ -1,43 +1,33 @@
-"""The persistent, crash-isolated worker pool behind every parallel sweep.
+"""The one worker pool: persistent, crash-isolated, forked once per sweep.
 
-``run_sweep`` drives a grid of independent cells through N *long-lived*
-worker processes.  Workers are forked once per sweep (not once per cell
-— fork-per-cell cost was measured to make small-cell sweeps slower than
-sequential runs), inherit warm imports and any runner-prewarmed shared
-state (e.g. one read-only workload stream per distinct workload spec),
-then pull cell indices from their pipe and stream results back as they
-finish.  The isolation properties the experiment layer needs survive
-the pooling, now scoped per *worker*:
+:class:`WorkerPool` runs cells on *long-lived* worker processes.  It is
+the only place in :mod:`repro.sweep` that forks a worker: the driver's
+local host (:mod:`repro.sweep.scheduler`) and every ``repro
+sweep-agent`` (:mod:`repro.sweep.remote`) run their cells through it.
+Workers are forked lazily (never more than ``capacity``, never before a
+cell needs one — fork-per-cell cost was measured to make small-cell
+sweeps slower than sequential runs), inherit warm imports and any
+runner-prewarmed shared state (e.g. one read-only workload stream per
+distinct workload spec), then pull cell indices from their pipe and
+stream results back as they finish.
 
-* **crash isolation** — a worker that raises reports the error and
-  lives on; a worker that hard-exits or is killed (OOM killer, signal)
-  costs only its in-flight cell and is replaced by a fresh worker; the
-  sweep never aborts.
-* **bounded retry** — a failed attempt (crash *or* timeout) is requeued
-  at the *front* of the pending queue, up to ``max_attempts``, so a
-  flaky cell's retry does not wait behind every untried cell on a wide
-  grid; a cell that keeps failing is recorded as a failed outcome and
-  the rest of the grid still completes.
-* **timeouts** — a cell past ``timeout_s`` has its worker terminated
-  (SIGTERM, then SIGKILL) and is treated as a failed attempt; the error
-  records the actual wall time and attempt number, so a chaos report
-  can tell a slow cell from a hung one.
-* **deterministic merge** — results are keyed by cell id and reported
-  in spec order, so worker scheduling never leaks into the output.
-  Payloads round-trip through JSON in the worker (``json.dumps`` on the
-  worker side of the pipe, ``json.loads`` on the parent side), so the
-  merged values are exactly what a report file would contain and a
-  parallel sweep over deterministic cells stays byte-identical to the
-  sequential run.
+The pool is incremental — a caller *submits* one cell under a key (the
+lease id), *polls* for finished keys, and may *cancel* a key — and it
+isolates per worker:
 
-On top of the pool sits a **content-addressed result cache**
-(``cache_dir``): before any worker is spawned, each pending cell's
-fingerprint (:func:`~repro.sweep.spec.cell_fingerprint`) is looked up
-in the :class:`~repro.sweep.manifest.ResultCache`; hits are returned
-without spawning any work, so an unchanged grid re-runs with *zero*
-child processes.  Manifest resume takes precedence over the cache — the
-manifest records what *this* sweep already established, including
-attempt counts — and a corrupted cache entry degrades to a live run.
+* a worker whose runner raises reports the error and lives on;
+* a worker that hard-exits or is killed (OOM killer, signal) costs only
+  its in-flight cell, which polls back as a failed result carrying the
+  exit code; the next submit forks a replacement;
+* a cancelled cell's worker is stopped with the escalating
+  SIGTERM-grace-SIGKILL of :func:`_kill`.
+
+Retry, timeouts and the merge are the scheduler's business, not the
+pool's.  Results round-trip through JSON in the worker (``json.dumps``
+on the worker side of the pipe, ``json.loads`` on this side), so a
+payload is exactly what a report file would contain and a parallel
+sweep over deterministic cells stays byte-identical to the sequential
+run.
 """
 
 from __future__ import annotations
@@ -45,167 +35,14 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import signal
-import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
-from repro.sweep.manifest import Manifest, ResultCache
-from repro.sweep.spec import (
-    SweepCell,
-    SweepSpec,
-    cell_fingerprint,
-    resolve_prewarm,
-    resolve_runner,
-)
+from repro.sweep.spec import SweepCell, resolve_runner
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports sweep)
-    from repro.obs import SweepObserver
-
-__all__ = [
-    "CellOutcome",
-    "SweepResult",
-    "SweepInterrupted",
-    "run_sweep",
-    "DEFAULT_MAX_ATTEMPTS",
-]
-
-DEFAULT_MAX_ATTEMPTS = 3
-
-
-def _default_obs(progress: Callable[[str], None] | None) -> "SweepObserver":
-    """A journal-less observer that only narrates to ``progress``.
-
-    Imported lazily: :mod:`repro.obs` imports back into the sweep
-    package (for ``atomic_write_json``), so a module-level import here
-    would be a cycle.
-    """
-    from repro.obs import SweepObserver
-
-    return SweepObserver(progress=progress)
-
-
-class SweepInterrupted(RuntimeError):
-    """Raised when an operator signal stopped a sweep before completion.
-
-    The sweep shut down *gracefully* before raising: dispatch stopped,
-    in-flight cells were flushed to the manifest as pending, and every
-    worker (or host agent) was terminated with an escalating
-    SIGTERM-grace-SIGKILL.  ``str(exc)`` is a one-line summary suitable
-    for the CLI.
-    """
-
-    def __init__(self, done: int, failed: int, total: int,
-                 manifest_path: str | None) -> None:
-        self.done = done
-        self.failed = failed
-        self.total = total
-        self.manifest_path = manifest_path
-        hint = (
-            f"; manifest flushed to {manifest_path} — re-run with --resume"
-            if manifest_path
-            else ""
-        )
-        super().__init__(
-            f"{done}/{total} cells done, {failed} failed, "
-            f"{total - done - failed} unfinished{hint}"
-        )
-
-
-class _SignalGuard:
-    """Two-stage SIGINT/SIGTERM handling around a sweep.
-
-    The first signal flips :attr:`stop` — the pool stops dispatching,
-    flushes the manifest and raises :class:`SweepInterrupted`; the
-    second signal raises ``KeyboardInterrupt`` straight out of the
-    handler, force-killing the run through the pool's ``finally``
-    cleanup.  Handlers are only installed in the main thread (the only
-    place Python allows it); elsewhere the guard is inert.
-    """
-
-    SIGNALS = (signal.SIGINT, signal.SIGTERM)
-
-    def __init__(self, note: Callable[[str], None]) -> None:
-        self.stop = False
-        self._note = note
-        self._previous: dict[int, Any] = {}
-
-    def _handle(self, signum: int, frame: Any) -> None:
-        if self.stop:  # second signal: force
-            raise KeyboardInterrupt
-        self.stop = True
-        self._note(
-            f"caught {signal.Signals(signum).name}: finishing in-flight "
-            f"cells' shutdown, flushing manifest (signal again to force-kill)"
-        )
-
-    def __enter__(self) -> "_SignalGuard":
-        if threading.current_thread() is threading.main_thread():
-            for sig in self.SIGNALS:
-                try:
-                    self._previous[sig] = signal.signal(sig, self._handle)
-                except (ValueError, OSError):  # non-main interpreter quirks
-                    pass
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        for sig, previous in self._previous.items():
-            try:
-                signal.signal(sig, previous)
-            except (ValueError, OSError):
-                pass
-
-
-@dataclass(frozen=True)
-class CellOutcome:
-    """Final state of one cell after isolation, retries and merge."""
-
-    cell: SweepCell
-    status: str  # "done" | "failed"
-    attempts: int  # total attempts the cell has consumed, across resumes
-    payload: Any = None
-    error: str = ""
-    resumed: bool = False  # skipped because the manifest had it done
-    cached: bool = False  # payload served from the result cache
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "done"
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """All outcomes, in spec order regardless of completion order."""
-
-    spec: SweepSpec
-    outcomes: tuple[CellOutcome, ...]
-    workers: int
-    #: Worker processes actually forked — 0 when every cell was resumed
-    #: from the manifest or served from the result cache.  For a
-    #: distributed sweep this counts agent processes plus any local
-    #: fallback workers.
-    spawned_workers: int = 0
-    #: Per-host outcomes (:class:`repro.sweep.remote.HostOutcome`) when
-    #: the sweep ran through ``run_remote_sweep``; empty for local runs.
-    host_outcomes: tuple = ()
-    #: Cells settled from the result cache *after* dispatch began (a
-    #: requeued cell whose fingerprint-identical sibling finished first).
-    #: Start-of-run cache hits show as ``CellOutcome.cached`` instead.
-    cache_hits: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
-
-    @property
-    def failures(self) -> tuple[CellOutcome, ...]:
-        return tuple(o for o in self.outcomes if not o.ok)
-
-    def payloads(self) -> dict[str, Any]:
-        return {o.cell.id: o.payload for o in self.outcomes if o.ok}
+__all__ = ["WorkerPool"]
 
 
 def _worker_main(cells: tuple[SweepCell, ...], conn: Any) -> None:
@@ -213,33 +50,36 @@ def _worker_main(cells: tuple[SweepCell, ...], conn: Any) -> None:
 
     Lives for the whole sweep: imports stay warm and runner-level caches
     (shared workload streams) persist across cells.  Exceptions are
-    *reported*, not re-raised — the parent decides about retries.  A
+    *reported*, not re-raised — the scheduler decides about retries.  A
     worker that dies before ``send_bytes`` lands simply leaves the pipe
-    at EOF, which the parent reads as a crash.
+    at EOF, which the pool reads as a crash.
     """
     # Warm the runner registry (and everything the builtin runners pull
     # in) before the first cell, not during it.
     import repro.sweep.runners  # noqa: F401
 
+    parent = os.getppid()
     while True:
         try:
+            # A worker outliving a SIGKILLed parent would block in recv()
+            # forever: it holds its own copy of the parent's pipe end.
+            while not conn.poll(1.0):
+                if os.getppid() != parent:
+                    return
             index = conn.recv()
         except (EOFError, OSError):
             return
         if index is None:
             return
         cell = cells[index]
-        # t0/t1 bracket the runner only — the parent differences them into
-        # the journal's compute time; journal-off parents ignore the keys.
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             payload = resolve_runner(cell.runner)(cell.params)
             blob: dict[str, Any] = {"ok": True, "payload": payload}
         except BaseException as exc:  # noqa: BLE001 - isolation boundary
             blob = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        blob["t0"] = t0
-        blob["t1"] = time.time()
-        blob["pid"] = os.getpid()
+        # The runner's own time, for the journal's cell.run span.
+        blob["compute_s"] = max(0.0, time.perf_counter() - t0)
         try:
             wire = json.dumps(blob, sort_keys=True)
         except TypeError as exc:
@@ -254,25 +94,8 @@ def _worker_main(cells: tuple[SweepCell, ...], conn: Any) -> None:
 
 @dataclass
 class _Worker:
-    """Parent-side handle on one pool member and its in-flight cell."""
-
     proc: Any
     conn: Any
-    cell: SweepCell | None = None
-    attempt: int = 0
-    deadline: float | None = None
-    started: float = 0.0
-    run_sid: str | None = None  # open cell.run span in the journal
-
-    @property
-    def busy(self) -> bool:
-        return self.cell is not None
-
-    def take(self) -> tuple[SweepCell, int]:
-        cell, attempt = self.cell, self.attempt
-        assert cell is not None
-        self.cell = None
-        return cell, attempt
 
 
 def _kill(proc: Any, grace_s: float = 1.0) -> None:
@@ -314,363 +137,113 @@ def _context(start_method: str | None = None) -> Any:
     return multiprocessing.get_context()
 
 
-def run_sweep(
-    spec: SweepSpec,
-    *,
-    workers: int = 1,
-    timeout_s: float | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    manifest_path: str | None = None,
-    resume: bool = False,
-    cache_dir: str | None = None,
-    progress: Callable[[str], None] | None = None,
-    obs: "SweepObserver | None" = None,
-) -> SweepResult:
-    """Execute every cell of ``spec`` across a pool of ``workers``.
-
-    Always completes: per-cell failures (exceptions, hard crashes,
-    timeouts) are retried up to ``max_attempts`` and then recorded as
-    failed outcomes.  With ``manifest_path`` set, every final cell state
-    is checkpointed; ``resume=True`` loads the manifest and skips cells
-    already done (failed cells run again), carrying their recorded
-    attempt counts through to the outcomes.  With ``cache_dir`` set,
-    completed payloads are memoized by cell fingerprint and unchanged
-    cells are served from the cache without spawning any worker.
-
-    ``obs`` carries the journal/status sinks (:mod:`repro.obs`); when
-    None, a null observer narrating only to ``progress`` is used and
-    the sweep's outputs are byte-identical to pre-observability runs.
-    """
-    workers = max(1, int(workers))
-    max_attempts = max(1, int(max_attempts))
-    if obs is None:
-        obs = _default_obs(progress)
-    total = len(spec.cells)
-
-    sweep_sid = obs.begin("sweep", spec=spec.name, cells=total,
-                          workers=workers)
-    try:
-        prep_sid = obs.begin("prepare")
-        outcomes, pending, book, cache = _prepare(
-            spec, manifest_path=manifest_path, resume=resume,
-            cache_dir=cache_dir, obs=obs,
-        )
-        obs.end(prep_sid, pending=len(pending), settled=len(outcomes))
-        obs.status_tick(pending=len(pending), leased=0, force=True)
-
-        spawned = 0
-        if pending:
-            with _SignalGuard(obs.note) as guard:
-                spawned = _run_pool(
-                    spec, pending, outcomes, book, cache,
-                    workers=workers, timeout_s=timeout_s,
-                    max_attempts=max_attempts,
-                    obs=obs, total=total, guard=guard,
-                )
-
-        merge_sid = obs.begin("merge")
-        result = SweepResult(
-            spec=spec,
-            outcomes=tuple(outcomes[cell.id] for cell in spec.cells),
-            workers=workers,
-            spawned_workers=spawned,
-        )
-        obs.end(merge_sid, cells=len(result.outcomes))
-    except SweepInterrupted:
-        obs.end(sweep_sid, state="interrupted")
-        obs.status_tick(force=True)
-        raise
-    obs.end(sweep_sid, state="done" if result.ok else "failed")
-    obs.status_tick(pending=0, leased=0, force=True)
-    return result
-
-
-def _prepare(
-    spec: SweepSpec,
-    *,
-    manifest_path: str | None,
-    resume: bool,
-    cache_dir: str | None,
-    obs: "SweepObserver",
-) -> tuple[dict[str, CellOutcome], deque[tuple[SweepCell, int]],
-           Manifest, ResultCache | None]:
-    """The manifest-resume > result-cache > live precedence pass.
-
-    Shared by the local pool and the distributed scheduler, so "what has
-    already been established" means the same thing no matter where the
-    remaining cells end up running.  Returns the outcomes settled so
-    far, the deque of ``(cell, first_attempt)`` still to run, the
-    manifest being written, and the cache (or None).
-    """
-    prior = (
-        Manifest.load(manifest_path, spec)
-        if (resume and manifest_path)
-        else Manifest(None, spec)
-    )
-    book = Manifest(manifest_path, spec, dict(prior.cells) if resume else None)
-
-    outcomes: dict[str, CellOutcome] = {}
-    pending: deque[tuple[SweepCell, int]] = deque()
-    done_before = prior.completed
-    for cell in spec.cells:
-        if cell.id in done_before:
-            attempts = prior.cells[cell.id].get("attempts", 1)
-            outcomes[cell.id] = CellOutcome(
-                cell=cell, status="done", attempts=attempts,
-                payload=done_before[cell.id], resumed=True,
-            )
-            obs.emit("cell.resumed", cell=cell.id, attempts=attempts)
-        else:
-            pending.append((cell, 1))
-
-    # Cache pass: anything the manifest did not cover may still be an
-    # unchanged cell from an earlier sweep.  Hits never spawn work.
-    cache = ResultCache(cache_dir) if cache_dir else None
-    if cache is not None and pending:
-        live: deque[tuple[SweepCell, int]] = deque()
-        for cell, attempt in pending:
-            key = cell_fingerprint(cell)
-            entry = cache.load(key) if key is not None else None
-            if entry is None:
-                live.append((cell, attempt))
-                continue
-            attempts = entry.get("attempts", 1)
-            if not isinstance(attempts, int) or attempts < 1:
-                attempts = 1
-            outcomes[cell.id] = CellOutcome(
-                cell=cell, status="done", attempts=attempts,
-                payload=entry["payload"], cached=True,
-            )
-            book.record_done(cell.id, attempts, entry["payload"])
-            obs.emit("cell.cache_hit", cell=cell.id, key=key[:12])
-        pending = live
-
-    return outcomes, pending, book, cache
-
-
-def _run_pool(
-    spec: SweepSpec,
-    pending: deque[tuple[SweepCell, int]],
-    outcomes: dict[str, CellOutcome],
-    book: Manifest,
-    cache: ResultCache | None,
-    *,
-    workers: int,
-    timeout_s: float | None,
-    max_attempts: int,
-    obs: "SweepObserver",
-    total: int,
-    guard: "_SignalGuard | None" = None,
-) -> int:
-    """Drive ``pending`` through a persistent worker pool; returns the
-    number of worker processes spawned."""
-    ctx = _context()
-    # Parent-side warm-up: import the runners (forked workers inherit the
-    # loaded modules) and let each runner prewarm shared read-only state
-    # for its pending cells — e.g. one numeric workload stream per
-    # distinct workload spec, built once per grid instead of per cell.
-    import repro.sweep.runners  # noqa: F401
-
-    by_runner: dict[str, list[SweepCell]] = {}
-    for cell, _ in pending:
-        by_runner.setdefault(cell.runner, []).append(cell)
-    for runner_key, runner_cells in by_runner.items():
-        prewarm = resolve_prewarm(runner_key)
-        if prewarm is None:
-            continue
-        try:
-            prewarm(runner_cells)
-        except Exception:  # noqa: BLE001 - best-effort; workers rebuild on demand
-            pass
-
-    index_of = {cell.id: i for i, cell in enumerate(spec.cells)}
-    spawned = 0
-    pool: list[_Worker] = []
-
-    def spawn() -> _Worker:
-        nonlocal spawned
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(spec.cells, child_conn),
-            name=f"sweep-worker-{spawned}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        spawned += 1
-        return _Worker(proc, parent_conn)
-
-    def settle(cell: SweepCell, attempt: int, ok: bool, payload: Any,
-               error: str, wall_s: float | None = None) -> None:
-        if ok:
-            outcomes[cell.id] = CellOutcome(cell, "done", attempt, payload)
-            book.record_done(cell.id, attempt, payload)
-            if cache is not None:
-                key = cell_fingerprint(cell)
-                if key is not None:
-                    cache.store(key, cell_id=cell.id, attempts=attempt, payload=payload)
-            obs.emit("cell.done", cell=cell.id, done=len(outcomes),
-                     total=total, attempt=attempt, wall_s=wall_s)
-        elif attempt < max_attempts:
-            obs.emit("cell.retry", cell=cell.id, attempt=attempt,
-                     error=error, wall_s=wall_s)
-            # Front of the queue: on a wide sweep the retry must not wait
-            # behind every untried cell and become the run's straggler.
-            pending.appendleft((cell, attempt + 1))
-        else:
-            outcomes[cell.id] = CellOutcome(cell, "failed", attempt, None, error)
-            book.record_failed(cell.id, attempt, error)
-            obs.emit("cell.failed", cell=cell.id, done=len(outcomes),
-                     total=total, attempt=attempt, error=error, wall_s=wall_s)
-        obs.status_tick(pending=len(pending),
-                        leased=sum(1 for w in pool if w.busy))
-
-    def settle_dead_worker(worker: _Worker, error: str) -> None:
-        """A worker died (crash or timeout kill): charge its in-flight
-        cell one attempt and drop the worker from the pool."""
-        pool.remove(worker)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        elapsed = time.monotonic() - worker.started
-        obs.end(worker.run_sid, ok=False, error=error)
-        worker.run_sid = None
-        cell, attempt = worker.take()
-        settle(cell, attempt, False, None, error, wall_s=elapsed)
-
-    try:
-        while pending or any(w.busy for w in pool):
-            if guard is not None and guard.stop:
-                _graceful_stop(pool, book, obs)
-                done = sum(1 for o in outcomes.values() if o.ok)
-                failed = len(outcomes) - done
-                raise SweepInterrupted(done, failed, total, book.path)
-            # Keep the pool sized to the remaining work: replace crashed
-            # workers while cells still need one, never exceed `workers`.
-            n_busy = sum(1 for w in pool if w.busy)
-            while len(pool) < min(workers, n_busy + len(pending)):
-                pool.append(spawn())
-
-            # Hand cells to idle workers.
-            for worker in pool:
-                if not pending:
-                    break
-                if worker.busy:
-                    continue
-                cell, attempt = pending.popleft()
-                worker.cell = cell
-                worker.attempt = attempt
-                worker.started = time.monotonic()
-                worker.deadline = (
-                    worker.started + timeout_s if timeout_s is not None else None
-                )
-                try:
-                    worker.conn.send(index_of[cell.id])
-                except (BrokenPipeError, OSError):
-                    # The worker died while idle; the cell never started,
-                    # so requeue it without charging an attempt.
-                    worker.cell = None
-                    pending.appendleft((cell, attempt))
-                    pool.remove(worker)
-                    break  # re-enter the loop to respawn and reassign
-                worker.run_sid = obs.begin(
-                    "cell.run", actor=f"worker/local/{worker.proc.pid}",
-                    cell=cell.id, attempt=attempt,
-                )
-
-            busy = [w for w in pool if w.busy]
-            if not busy:
-                continue
-
-            deadlines = [w.deadline for w in busy if w.deadline is not None]
-            wait_s = (
-                max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-            )
-            owner: dict[Any, _Worker] = {}
-            for w in busy:
-                owner[w.conn] = w
-                owner[w.proc.sentinel] = w
-            ready = set(connection.wait(list(owner), timeout=wait_s))
-            now = time.monotonic()
-
-            for worker in busy:
-                if worker.conn in ready:
-                    # A streamed result — or EOF from a worker that died
-                    # between finishing the send and us reading it.
-                    try:
-                        blob = json.loads(worker.conn.recv_bytes().decode("utf-8"))
-                    except (EOFError, OSError, json.JSONDecodeError):
-                        worker.proc.join(1.0)
-                        settle_dead_worker(worker, _crash_error(worker.proc))
-                        continue
-                    elapsed = time.monotonic() - worker.started
-                    end_fields: dict[str, Any] = {"ok": bool(blob.get("ok"))}
-                    if isinstance(blob.get("t0"), (int, float)) and \
-                            isinstance(blob.get("t1"), (int, float)):
-                        end_fields["compute_s"] = max(
-                            0.0, blob["t1"] - blob["t0"])
-                    obs.end(worker.run_sid, **end_fields)
-                    worker.run_sid = None
-                    cell, attempt = worker.take()
-                    settle(
-                        cell, attempt,
-                        bool(blob.get("ok")), blob.get("payload"),
-                        str(blob.get("error", "worker reported failure")),
-                        wall_s=elapsed,
-                    )
-                elif worker.proc.sentinel in ready:
-                    worker.proc.join(1.0)
-                    settle_dead_worker(worker, _crash_error(worker.proc))
-                elif worker.deadline is not None and now >= worker.deadline:
-                    elapsed = now - worker.started
-                    _kill(worker.proc)
-                    settle_dead_worker(
-                        worker,
-                        f"timeout: attempt {worker.attempt} killed after "
-                        f"{elapsed:.2f}s wall (limit {timeout_s}s)",
-                    )
-    finally:
-        for worker in pool:
-            try:
-                worker.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        for worker in pool:
-            worker.proc.join(1.0)
-            if worker.proc.is_alive():
-                _kill(worker.proc)
-    return spawned
-
-
-def _graceful_stop(pool: list[_Worker], book: Manifest,
-                   obs: "SweepObserver") -> None:
-    """First-signal shutdown: stop dispatching, flush in-flight cells to
-    the manifest as pending (they re-run on ``--resume``), then stop
-    every worker with the escalating SIGTERM-grace-SIGKILL."""
-    for worker in pool:
-        if worker.busy:
-            obs.end(worker.run_sid, ok=False, interrupted=True)
-            worker.run_sid = None
-            cell, attempt = worker.take()
-            book.record_pending(cell.id, attempt)
-            obs.emit("cell.interrupted", cell=cell.id)
-    for worker in pool:
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        _kill(worker.proc, grace_s=1.0)
-    pool.clear()
-
-
 def _crash_error(proc: Any) -> str:
     code = proc.exitcode
     if code is not None and code < 0:
         return f"worker killed by signal {-code}"
     return f"worker crashed without a result (exit code {code})"
+
+
+class WorkerPool:
+    """Up to ``capacity`` persistent workers over one cell tuple."""
+
+    def __init__(self, cells: tuple[SweepCell, ...], capacity: int) -> None:
+        self.ctx = _context()
+        self.cells = cells
+        self.index_of = {cell.id: i for i, cell in enumerate(cells)}
+        self.capacity = max(1, capacity)
+        self.idle: list[_Worker] = []
+        self.busy: dict[str, _Worker] = {}  # key -> worker
+        self.spawned = 0  # worker processes forked so far
+        self.done = 0  # cells that finished ok
+        self._stillborn: list[tuple[str, dict[str, Any]]] = []
+
+    def _spawn(self) -> _Worker:
+        parent_conn, child_conn = self.ctx.Pipe()
+        proc = self.ctx.Process(
+            target=_worker_main,
+            args=(self.cells, child_conn),
+            name=f"sweep-worker-{self.spawned}",
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        self.spawned += 1
+        return _Worker(proc, parent_conn)
+
+    def submit(self, key: str, cell_id: str,
+               announce: Callable[[int], None] | None = None) -> None:
+        """Start ``cell_id`` on an idle (or freshly forked) worker.
+
+        ``announce(pid)`` runs after the worker is chosen and *before*
+        the cell is sent, so a caller can journal the run's begin span
+        ahead of anything the cell itself might do (in the kill-agent
+        fault mode: murder the agent).  A worker that died idle is
+        replaced once; if the replacement dies too, the cell polls back
+        as a failed result.
+        """
+        index = self.index_of[cell_id]
+        worker = self.idle.pop() if self.idle else self._spawn()
+        if announce is not None:
+            announce(worker.proc.pid)
+        for last in (False, True):
+            try:
+                worker.conn.send(index)
+            except (BrokenPipeError, OSError):
+                _kill(worker.proc, grace_s=0.1)
+                if last:
+                    self._stillborn.append((key, {
+                        "ok": False,
+                        "error": "worker died before accepting the cell",
+                    }))
+                    return
+                worker = self._spawn()
+            else:
+                self.busy[key] = worker
+                return
+
+    def cancel(self, key: str) -> None:
+        worker = self.busy.pop(key, None)
+        if worker is not None:
+            _kill(worker.proc, grace_s=0.5)
+            worker.conn.close()
+
+    def waitables(self) -> list[Any]:
+        """What a caller's ``connection.wait`` should watch for us."""
+        return [obj for w in self.busy.values() for obj in (w.conn, w.proc.sentinel)]
+
+    def poll(self) -> list[tuple[str, dict[str, Any]]]:
+        """``(key, result)`` for every cell that finished or whose worker
+        died since the last poll; never blocks."""
+        results, self._stillborn = self._stillborn, []
+        owner = {obj: key for key, w in self.busy.items()
+                 for obj in (w.conn, w.proc.sentinel)}
+        ready = connection.wait(list(owner), timeout=0.0) if owner else []
+        for key in dict.fromkeys(owner[r] for r in ready):
+            worker = self.busy.pop(key)
+            try:
+                blob = json.loads(worker.conn.recv_bytes().decode("utf-8"))
+                self.idle.append(worker)
+            except (EOFError, OSError, json.JSONDecodeError):
+                worker.proc.join(1.0)
+                blob = {"ok": False, "error": _crash_error(worker.proc)}
+                worker.conn.close()
+            if blob.get("ok"):
+                self.done += 1
+            results.append((key, blob))
+        return results
+
+    def shutdown(self) -> None:
+        """Idle workers get a clean stop and a short join; busy (or
+        deaf) ones the escalating kill."""
+        for worker in self.idle:
+            try:
+                worker.conn.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+        for worker in self.idle:
+            worker.proc.join(1.0)
+        for worker in list(self.busy.values()) + self.idle:
+            worker.conn.close()
+            _kill(worker.proc, grace_s=1.0)
+        self.idle, self.busy = [], {}

@@ -1,10 +1,10 @@
-"""Distributed sweep fan-out: host agents, leases, heartbeats, re-dispatch.
+"""Agent hosts: ``--hosts`` parsing, the agent transport, ``sweep-agent``.
 
-``run_remote_sweep`` shards a declarative cell grid across a set of
-**host agents** and treats every host as unreliable.  Each agent is a
-``repro sweep-agent`` process — reached over a transport (a local
-subprocess for the loopback kind, an ssh subprocess for remote hosts) —
-that runs its own persistent worker pool and speaks a newline-delimited
+A distributed sweep (:func:`repro.sweep.scheduler.run_remote_sweep`)
+leases cells to **host agents**.  Each agent is a ``repro sweep-agent``
+process — reached over a transport (a local subprocess for the loopback
+kind, an ssh subprocess for remote hosts) — that runs cells on its own
+:class:`~repro.sweep.pool.WorkerPool` and speaks a newline-delimited
 JSON protocol of :mod:`~repro.sweep.wire` envelopes:
 
 ========== =========== ====================================================
@@ -21,88 +21,39 @@ driver →   ``cancel``  ``{lease}`` — kill that lease's worker
 driver →   ``shutdown``  drain and exit
 ========== =========== ====================================================
 
-Fault model (driver side):
-
-* A host that misses three heartbeat intervals, EOFs its transport, or
-  sends an undecodable line is **lost**: its leased cells are requeued
-  (no attempt charged — the host failed, not the cell) and the host is
-  reconnected with exponential backoff plus deterministic jitter, up to
-  ``reconnect_attempts`` times, after which it is **dead**.
-* A leased cell past ``timeout_s`` is cancelled and charged an attempt,
-  exactly like the local pool's timeout.
-* A leased cell running longer than ``straggler_factor`` × the median
-  committed cell time is *also* dispatched to a second host; the first
-  result commits, the sibling lease is cancelled, and a late duplicate
-  is discarded deterministically (results commit **at most once** per
-  cell id).
-* If every host is dead, the sweep **degrades**: the remaining cells
-  finish on the local pool rather than aborting, and the per-host
-  outcomes record what happened.
-
-Merged results stay byte-identical to a sequential sweep: outcomes are
-keyed by cell id, reported in spec order, and payloads round-trip
-through JSON on the agent exactly as they do in a local worker.  The
-manifest-resume > result-cache > live precedence is applied *before*
-any host is contacted, by the same pass the local pool uses.
+Neither side runs a reader thread: both frame their end of the pipe
+with :class:`LineReader` and wait on it in the same
+``connection.wait`` as their worker pipes.  The driver-side fault model
+(leases, heartbeats, re-dispatch) lives in the scheduler.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 import os
-import queue
 import subprocess
 import sys
-import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from multiprocessing import connection
-from statistics import median
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any
 
-from repro.sweep import pool as _pool
-from repro.sweep.manifest import Manifest, ResultCache
-from repro.sweep.pool import (
-    CellOutcome,
-    SweepInterrupted,
-    SweepResult,
-    _default_obs,
-    _kill,
-    _prepare,
-    _run_pool,
-    _SignalGuard,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports sweep)
-    from repro.obs import SweepObserver
-from repro.sweep.spec import SweepCell, SweepSpec, cell_fingerprint
+from repro.sweep.pool import WorkerPool
 from repro.sweep.wire import (
     WireError,
     decode_envelope,
     decode_spec,
     encode_envelope,
-    encode_spec,
 )
 
 __all__ = [
     "HostSpec",
     "HostOutcome",
     "parse_hosts",
-    "run_remote_sweep",
     "agent_main",
     "DEFAULT_HEARTBEAT_S",
-    "DEFAULT_STRAGGLER_FACTOR",
 ]
 
 DEFAULT_HEARTBEAT_S = 5.0
-DEFAULT_STRAGGLER_FACTOR = 4.0
-#: Heartbeat intervals a host may miss before it is declared lost.
-_MISSED_HEARTBEATS = 3
-_RECONNECT_BASE_S = 0.25
-_RECONNECT_CAP_S = 5.0
 
 
 # --------------------------------------------------------------------------
@@ -196,27 +147,61 @@ class HostOutcome:
     last_heartbeat_age_s: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "host": self.host,
-            "state": self.state,
-            "done": self.done,
-            "failed": self.failed,
-            "reconnects": self.reconnects,
-            "duplicates_discarded": self.duplicates_discarded,
-            "error": self.error,
-            "heartbeats": self.heartbeats,
-            "max_heartbeat_gap_s": self.max_heartbeat_gap_s,
-            "last_heartbeat_age_s": self.last_heartbeat_age_s,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------
-# Transports: how the driver reaches an agent
+# Line framing and the transport: how the driver reaches an agent
 # --------------------------------------------------------------------------
+
+
+class LineReader:
+    """Non-blocking newline framing over a raw pipe fd.
+
+    Both ends of the envelope protocol read through one of these — the
+    agent its stdin, the driver each agent's stdout — and wait on it in
+    the same ``connection.wait`` as their worker pipes (it has a
+    ``fileno``).  That is why neither side needs a reader thread, and
+    the agent must not have one: a thread blocked in
+    ``sys.stdin.readline()`` would hold the buffered reader's lock
+    across the pool's ``fork()``, and the forked worker's
+    multiprocessing bootstrap then closes ``sys.stdin`` and deadlocks on
+    that never-to-be-released lock.
+    """
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.buffer = b""
+        self.eof = False
+        os.set_blocking(fd, False)
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def drain(self) -> list[str | None]:
+        """Complete lines available now; ``None`` marks the peer's EOF."""
+        lines: list[str | None] = []
+        while not self.eof:
+            try:
+                chunk = os.read(self.fd, 1 << 16)
+            except BlockingIOError:
+                break
+            except OSError:
+                chunk = b""
+            if not chunk:
+                self.eof = True
+                break
+            self.buffer += chunk
+        while b"\n" in self.buffer:
+            raw, self.buffer = self.buffer.split(b"\n", 1)
+            lines.append(raw.decode("utf-8", errors="replace"))
+        if self.eof:
+            lines.append(None)
+        return lines
 
 
 class _AgentTransport:
-    """A live agent subprocess with line-oriented stdin/stdout.
+    """A live agent subprocess: envelope lines in on stdin, out on stdout.
 
     The loopback kind starts ``repro sweep-agent`` on this machine with
     the driver's interpreter and PYTHONPATH — the in-machine stand-in
@@ -226,7 +211,6 @@ class _AgentTransport:
     """
 
     def __init__(self, host: HostSpec) -> None:
-        self.host = host
         if host.kind == "loopback":
             repro_root = os.path.dirname(
                 os.path.dirname(os.path.abspath(__file__))
@@ -247,839 +231,56 @@ class _AgentTransport:
                 f"python3 -m repro sweep-agent --workers {host.workers}",
             ]
             env = None
-        # Agent chatter (tracebacks, ssh banners) goes to our stderr;
-        # stdout is the protocol channel and must stay clean.
+        # Agent chatter (tracebacks, ssh banners) is dropped; stdout is
+        # the protocol channel and must stay clean.
         self.proc = subprocess.Popen(
             argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
-            text=True,
         )
-
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
+        assert self.proc.stdout is not None
+        self.reader = LineReader(self.proc.stdout.fileno())
 
     def send_line(self, line: str) -> None:
         assert self.proc.stdin is not None
-        self.proc.stdin.write(line + "\n")
+        self.proc.stdin.write(line.encode("utf-8") + b"\n")
         self.proc.stdin.flush()
 
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
-    def close(self, grace_s: float = 0.5) -> None:
-        # Close stdin only.  stdout belongs to the pump thread: closing
-        # it here would block on the buffered reader's lock while that
-        # thread sits in readline() — and a SIGKILLed agent's orphaned
-        # worker can hold the pipe's write end open long after the agent
-        # is gone.  The daemon pump thread drops the stream when its
-        # read finally returns (or the driver exits).
+    def hang_up(self) -> None:
+        """Close the agent's stdin: its EOF means "driver gone, exit"."""
         try:
             if self.proc.stdin is not None:
                 self.proc.stdin.close()
         except OSError:
             pass
-        if self.proc.poll() is None:
-            self.proc.terminate()
+
+    def close(self, grace_s: float = 2.0) -> None:
+        """Hang up, then give the agent ``grace_s`` to exit on its own.
+
+        The wait is what lets the agent's ``finally`` stop its workers:
+        signalling it straight away killed the agent first, and its
+        forked workers — still holding their own pipe ends — then
+        blocked in ``recv()`` forever.  Only an agent that ignores its
+        EOF past the grace window is terminated, then killed.
+        """
+        self.hang_up()
+        for stop in (None, self.proc.terminate, self.proc.kill):
+            if stop is not None:
+                stop()
             try:
                 self.proc.wait(grace_s)
+                break
             except subprocess.TimeoutExpired:
-                self.proc.kill()
-                try:
-                    self.proc.wait(5.0)
-                except subprocess.TimeoutExpired:
-                    pass
-
-
-# --------------------------------------------------------------------------
-# Driver-side scheduler
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class _Lease:
-    id: str
-    cell: SweepCell
-    attempt: int
-    host: "_Host"
-    started: float
-    sid: str | None = None  # open lease span in the journal
-
-
-@dataclass
-class _Host:
-    spec: HostSpec
-    state: str = "connecting"  # connecting | ready | lost | dead
-    transport: _AgentTransport | None = None
-    capacity: int = 1
-    last_seen: float = 0.0
-    last_beat: float = 0.0  # monotonic time of the last heartbeat *kind*
-    connect_deadline: float = 0.0
-    backoff_until: float = 0.0
-    reconnects_used: int = 0
-    leases: dict[str, _Lease] = field(default_factory=dict)
-    connect_sid: str | None = None  # open ssh.connect span
-    reconnect_sid: str | None = None  # open reconnect (backoff) span
-    outcome: HostOutcome = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self.outcome = HostOutcome(host=self.spec.name, state="unused")
-
-
-def _jitter(host: str, attempt: int) -> float:
-    """Deterministic jitter in [0.75, 1.25): reconnects across a fleet
-    spread out, and a re-run spreads them out the same way."""
-    digest = hashlib.sha256(f"{host}:{attempt}".encode("utf-8")).digest()
-    return 0.75 + (digest[0] / 255.0) * 0.5
-
-
-class _RemoteScheduler:
-    """Drives a grid across unreliable hosts; see the module docstring."""
-
-    def __init__(
-        self,
-        spec: SweepSpec,
-        hosts: tuple[HostSpec, ...],
-        *,
-        outcomes: dict[str, CellOutcome],
-        pending: deque[tuple[SweepCell, int]],
-        book: Manifest,
-        cache: ResultCache | None,
-        timeout_s: float | None,
-        max_attempts: int,
-        heartbeat_s: float,
-        straggler_factor: float | None,
-        connect_timeout_s: float,
-        reconnect_attempts: int,
-        note: Callable[[str], None] | None = None,
-        obs: "SweepObserver | None" = None,
-        guard: _SignalGuard | None = None,
-    ) -> None:
-        self.spec = spec
-        self.outcomes = outcomes
-        self.pending = pending
-        self.book = book
-        self.cache = cache
-        self.timeout_s = timeout_s
-        self.max_attempts = max_attempts
-        self.heartbeat_s = heartbeat_s
-        self.straggler_factor = straggler_factor
-        self.connect_timeout_s = connect_timeout_s
-        self.reconnect_attempts = reconnect_attempts
-        self.obs = obs if obs is not None else _default_obs(note)
-        self.guard = guard
-        self.total = len(spec.cells)
-        self.hosts = [_Host(spec=h) for h in hosts]
-        self.active: dict[str, _Lease] = {}  # lease id -> lease
-        self.durations: list[float] = []  # committed cell wall times
-        self.spawned_agents = 0
-        self.cache_hits = 0  # cells settled from the result cache mid-run
-        # Entries carry the transport they were read from: after a
-        # reconnect, lines (and the EOF marker) from the *previous*
-        # transport's reader thread must not poison the new connection.
-        self.inbox: "queue.Queue[tuple[_Host, _AgentTransport, str | None]]" = (
-            queue.Queue()
-        )
-        self._lease_seq = 0
-        # With a journal armed, the spec envelope asks every agent to
-        # buffer its own spans and ship them back as `journal` lines;
-        # journal-off sweeps send exactly the pre-observability bytes.
-        extras: dict[str, Any] = {"heartbeat_s": heartbeat_s}
-        if self.obs.journal is not None:
-            extras["journal"] = True
-            extras["trace"] = self.obs.trace_id
-        self._spec_line = encode_spec(spec, **extras)
-
-    # -- host lifecycle ----------------------------------------------------
-
-    def _connect(self, host: _Host) -> None:
-        host.connect_sid = self.obs.begin(
-            "ssh.connect", host=host.spec.name, kind=host.spec.kind,
-            attempt=host.reconnects_used,
-        )
-        try:
-            host.transport = _AgentTransport(host.spec)
-        except OSError as exc:  # ssh/python binary missing, fork failure
-            host.transport = None
-            self._lose_host(host, f"cannot start agent: {exc}")
-            return
-        self.spawned_agents += 1
-        host.state = "connecting"
-        host.last_seen = time.monotonic()
-        host.connect_deadline = host.last_seen + self.connect_timeout_s
-        threading.Thread(
-            target=self._pump, args=(host, host.transport), daemon=True,
-            name=f"sweep-reader-{host.spec.name}",
-        ).start()
-
-    def _pump(self, host: _Host, transport: _AgentTransport) -> None:
-        stream = transport.proc.stdout
-        assert stream is not None
-        try:
-            for line in stream:
-                self.inbox.put((host, transport, line.rstrip("\n")))
-        except (OSError, ValueError):
-            pass
-        self.inbox.put((host, transport, None))
-
-    def _lose_host(self, host: _Host, reason: str) -> None:
-        """Requeue the host's leases and schedule a reconnect (or declare
-        it dead once reconnects are exhausted)."""
-        if host.state == "dead":
-            return
-        self.obs.end(host.connect_sid, ok=False, reason=reason)
-        host.connect_sid = None
-        if host.transport is not None:
-            host.transport.close()
-            host.transport = None
-        for lease in list(host.leases.values()):
-            host.leases.pop(lease.id, None)
-            self.active.pop(lease.id, None)
-            self.obs.end(lease.sid, outcome="host-lost")
-            lease.sid = None
-            if lease.cell.id in self.outcomes or self._has_sibling(lease):
-                continue
-            # The host failed, not the cell: requeue without charging an
-            # attempt, at the front so redispatch beats untried work.
-            self.pending.appendleft((lease.cell, lease.attempt))
-            self.obs.emit("cell.redispatch", cell=lease.cell.id,
-                          host=host.spec.name)
-        if host.reconnects_used >= self.reconnect_attempts:
-            self.obs.end(host.reconnect_sid, ok=False, reason=reason)
-            host.reconnect_sid = None
-            host.state = "dead"
-            host.outcome.state = "dead"
-            host.outcome.error = reason
-            self.obs.emit("host.dead", host=host.spec.name, reason=reason)
-            return
-        self.obs.end(host.reconnect_sid, ok=False, reason=reason)
-        host.reconnects_used += 1
-        host.outcome.reconnects += 1
-        delay = min(
-            _RECONNECT_CAP_S,
-            _RECONNECT_BASE_S * (2 ** (host.reconnects_used - 1)),
-        ) * _jitter(host.spec.name, host.reconnects_used)
-        host.state = "lost"
-        host.backoff_until = time.monotonic() + delay
-        self.obs.emit("host.lost", host=host.spec.name, reason=reason,
-                      attempt=host.reconnects_used,
-                      limit=self.reconnect_attempts, delay_s=delay)
-        host.reconnect_sid = self.obs.begin(
-            "reconnect", host=host.spec.name,
-            attempt=host.reconnects_used, delay_s=round(delay, 6),
-        )
-
-    def _has_sibling(self, lease: _Lease) -> bool:
-        return any(
-            other.cell.id == lease.cell.id and other.id != lease.id
-            for other in self.active.values()
-        )
-
-    # -- protocol handling -------------------------------------------------
-
-    def _on_line(self, host: _Host, line: str) -> None:
-        host.last_seen = time.monotonic()
-        try:
-            kind, body = decode_envelope(line)
-        except WireError as exc:
-            self._lose_host(host, f"protocol error: {exc}")
-            return
-        if kind == "hello":
-            workers = body.get("workers")
-            host.capacity = workers if isinstance(workers, int) and workers > 0 else 1
-            assert host.transport is not None
-            try:
-                host.transport.send_line(self._spec_line)
-            except OSError as exc:
-                self._lose_host(host, f"send failed: {exc}")
-        elif kind == "spec-ack":
-            if body.get("fingerprint") != self.spec.fingerprint():
-                self._lose_host(host, "spec fingerprint mismatch on ack")
-                return
-            host.state = "ready"
-            if host.outcome.state == "unused":
-                host.outcome.state = "ok"
-            self.obs.end(host.connect_sid, ok=True, workers=host.capacity)
-            host.connect_sid = None
-            self.obs.end(host.reconnect_sid, ok=True)
-            host.reconnect_sid = None
-            self.obs.emit("host.ready", host=host.spec.name,
-                          workers=host.capacity)
-        elif kind == "heartbeat":
-            now = time.monotonic()
-            gap = now - host.last_beat if host.last_beat else 0.0
-            host.last_beat = now
-            host.outcome.heartbeats += 1
-            if gap > host.outcome.max_heartbeat_gap_s:
-                host.outcome.max_heartbeat_gap_s = round(gap, 3)
-            busy = body.get("busy")
-            self.obs.point(
-                "heartbeat", host=host.spec.name, gap_s=round(gap, 6),
-                busy=len(busy) if isinstance(busy, list) else 0,
-                done=body.get("done", 0),
-            )
-        elif kind == "result":
-            self._on_result(host, body)
-        elif kind == "journal":
-            events = body.get("events")
-            if isinstance(events, list):
-                self.obs.record_remote(host.spec.name, events)
-        # unknown kinds are ignored: forward-compatible within a version
-
-    def _on_result(self, host: _Host, body: dict[str, Any]) -> None:
-        lease = self.active.pop(str(body.get("lease")), None)
-        host.leases.pop(str(body.get("lease")), None)
-        if lease is None or lease.cell.id in self.outcomes:
-            if lease is not None:
-                self.obs.end(lease.sid, outcome="duplicate")
-                lease.sid = None
-            host.outcome.duplicates_discarded += 1
-            self.obs.emit("cell.duplicate", cell=str(body.get("cell")),
-                          host=host.spec.name)
-            return
-        # First result wins: cancel any straggler sibling outright.
-        for other in [o for o in self.active.values()
-                      if o.cell.id == lease.cell.id]:
-            self._cancel(other)
-        wall = time.monotonic() - lease.started
-        self.durations.append(wall)
-        ok = bool(body.get("ok"))
-        payload = body.get("payload")
-        error = str(body.get("error", "agent reported failure"))
-        self.obs.end(lease.sid, outcome="result", ok=ok)
-        lease.sid = None
-        if ok:
-            host.outcome.done += 1
-        self._settle(lease.cell, lease.attempt, ok, payload, error, host,
-                     wall_s=wall)
-
-    def _settle(self, cell: SweepCell, attempt: int, ok: bool,
-                payload: Any, error: str, host: _Host | None,
-                wall_s: float | None = None) -> None:
-        """At-most-once commit of one cell attempt — same retry policy as
-        the local pool's ``settle``."""
-        where = host.spec.name if host is not None else None
-        if ok:
-            self.outcomes[cell.id] = CellOutcome(cell, "done", attempt, payload)
-            self.book.record_done(cell.id, attempt, payload)
-            if self.cache is not None:
-                key = cell_fingerprint(cell)
-                if key is not None:
-                    self.cache.store(key, cell_id=cell.id, attempts=attempt,
-                                     payload=payload)
-            self.obs.emit("cell.done", cell=cell.id,
-                          done=len(self.outcomes), total=self.total,
-                          attempt=attempt, host=where, wall_s=wall_s)
-        elif attempt < self.max_attempts:
-            self.obs.emit("cell.retry", cell=cell.id, attempt=attempt,
-                          error=error, host=where, wall_s=wall_s)
-            self.pending.appendleft((cell, attempt + 1))
-        else:
-            self.outcomes[cell.id] = CellOutcome(cell, "failed", attempt,
-                                                 None, error)
-            self.book.record_failed(cell.id, attempt, error)
-            if host is not None:
-                host.outcome.failed += 1
-            self.obs.emit("cell.failed", cell=cell.id,
-                          done=len(self.outcomes), total=self.total,
-                          attempt=attempt, error=error, host=where,
-                          wall_s=wall_s)
-        self.obs.status_tick(pending=len(self.pending),
-                             leased=len(self.active),
-                             hosts=self._host_status())
-
-    def _cancel(self, lease: _Lease) -> None:
-        self.active.pop(lease.id, None)
-        lease.host.leases.pop(lease.id, None)
-        self.obs.end(lease.sid, outcome="cancelled")
-        lease.sid = None
-        if lease.host.transport is not None and lease.host.state == "ready":
-            try:
-                lease.host.transport.send_line(
-                    encode_envelope("cancel", {"lease": lease.id})
-                )
-            except OSError:
                 pass
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _dispatch(self) -> None:
-        for host in self.hosts:
-            if host.state != "ready" or host.transport is None:
-                continue
-            while self.pending and len(host.leases) < host.capacity:
-                cell, attempt = self.pending.popleft()
-                if cell.id in self.outcomes:
-                    continue
-                if self._serve_from_cache(cell):
-                    continue
-                self._lease_to(host, cell, attempt)
-
-    def _serve_from_cache(self, cell: SweepCell) -> bool:
-        """Settle ``cell`` from the result cache if its payload landed
-        there after the sweep started.
-
-        ``_prepare`` only consults the cache once, before dispatch; a
-        cell requeued later — host lost mid-cell, or a retry — may by
-        then have its fingerprint in the cache because an identical
-        (runner, params) cell finished elsewhere in the meantime.
-        Without this check the driver re-executes work it already holds
-        the answer to.  Determinism makes the served payload identical
-        to what a re-run would produce.
-        """
-        if self.cache is None:
-            return False
-        key = cell_fingerprint(cell)
-        entry = self.cache.load(key) if key is not None else None
-        if entry is None:
-            return False
-        attempts = entry.get("attempts", 1)
-        if not isinstance(attempts, int) or attempts < 1:
-            attempts = 1
-        self.cache_hits += 1
-        self.outcomes[cell.id] = CellOutcome(
-            cell=cell, status="done", attempts=attempts,
-            payload=entry["payload"], cached=True,
-        )
-        self.book.record_done(cell.id, attempts, entry["payload"])
-        self.obs.emit("cell.cache_hit", cell=cell.id, key=key[:12],
-                      when="redispatch", done=len(self.outcomes),
-                      total=self.total)
-        return True
-
-    def _lease_to(self, host: _Host, cell: SweepCell, attempt: int) -> None:
-        self._lease_seq += 1
-        lease = _Lease(
-            id=f"L{self._lease_seq}", cell=cell, attempt=attempt,
-            host=host, started=time.monotonic(),
-        )
-        assert host.transport is not None
-        dispatch_sid = self.obs.begin("dispatch", host=host.spec.name,
-                                      cell=cell.id, lease=lease.id)
-        try:
-            host.transport.send_line(
-                encode_envelope("lease", {
-                    "lease": lease.id, "cell": cell.id, "attempt": attempt,
-                })
-            )
-        except OSError as exc:
-            self.obs.end(dispatch_sid, ok=False)
-            self.pending.appendleft((cell, attempt))
-            self._lose_host(host, f"send failed: {exc}")
-            return
-        self.obs.end(dispatch_sid, ok=True)
-        lease.sid = self.obs.begin("lease", host=host.spec.name,
-                                   cell=cell.id, lease=lease.id,
-                                   attempt=attempt)
-        host.leases[lease.id] = lease
-        self.active[lease.id] = lease
-
-    def _redispatch_straggler(self, lease: _Lease, now: float) -> None:
-        for host in self.hosts:
-            if (host is lease.host or host.state != "ready"
-                    or len(host.leases) >= host.capacity):
-                continue
-            self.obs.emit("cell.straggler", cell=lease.cell.id,
-                          host=lease.host.spec.name,
-                          elapsed_s=now - lease.started, to=host.spec.name)
-            self._lease_to(host, lease.cell, lease.attempt)
-            return
-
-    # -- deadline supervision ----------------------------------------------
-
-    def _check_deadlines(self, now: float) -> None:
-        suspect_after = self.heartbeat_s * _MISSED_HEARTBEATS
-        for host in list(self.hosts):
-            if host.state == "connecting" and now >= host.connect_deadline:
-                self._lose_host(host, "no hello before the connect timeout")
-            elif (host.state in ("ready", "connecting")
-                    and now - host.last_seen > suspect_after):
-                self._lose_host(
-                    host,
-                    f"heartbeat silent for {now - host.last_seen:.1f}s "
-                    f"(> {suspect_after:.1f}s)",
-                )
-            elif host.state == "lost" and now >= host.backoff_until:
-                self._connect(host)
-        if self.timeout_s is not None:
-            for lease in list(self.active.values()):
-                if now - lease.started < self.timeout_s:
-                    continue
-                self._cancel(lease)
-                if self._has_sibling(lease) or lease.cell.id in self.outcomes:
-                    continue
-                self._settle(
-                    lease.cell, lease.attempt, False, None,
-                    f"timeout: attempt {lease.attempt} cancelled after "
-                    f"{now - lease.started:.2f}s wall (limit {self.timeout_s}s)",
-                    lease.host, wall_s=now - lease.started,
-                )
-        if self.straggler_factor and len(self.durations) >= 3:
-            threshold = self.straggler_factor * median(self.durations)
-            for lease in list(self.active.values()):
-                if (now - lease.started > threshold
-                        and not self._has_sibling(lease)):
-                    self._redispatch_straggler(lease, now)
-
-    def _next_wake(self, now: float) -> float:
-        """Seconds to sleep in the inbox wait before a deadline could fire."""
-        horizon = now + self.heartbeat_s
-        for host in self.hosts:
-            if host.state == "connecting":
-                horizon = min(horizon, host.connect_deadline)
-            elif host.state in ("ready",):
-                horizon = min(
-                    horizon,
-                    host.last_seen + self.heartbeat_s * _MISSED_HEARTBEATS,
-                )
-            elif host.state == "lost":
-                horizon = min(horizon, host.backoff_until)
-        if self.timeout_s is not None:
-            for lease in self.active.values():
-                horizon = min(horizon, lease.started + self.timeout_s)
-        return max(0.05, horizon - now)
-
-    # -- main loop ---------------------------------------------------------
-
-    def run(self) -> None:
-        for host in self.hosts:
-            self._connect(host)
-        try:
-            while len(self.outcomes) < self.total:
-                if self.guard is not None and self.guard.stop:
-                    self._interrupt()
-                if all(h.state == "dead" for h in self.hosts):
-                    return  # caller degrades to the local pool
-                self._dispatch()
-                now = time.monotonic()
-                try:
-                    host, transport, line = self.inbox.get(
-                        timeout=self._next_wake(now)
-                    )
-                except queue.Empty:
-                    pass
-                else:
-                    if transport is not host.transport:
-                        pass  # stale line from a pre-reconnect transport
-                    elif line is None:
-                        self._lose_host(host, "transport closed (EOF)")
-                    else:
-                        self._on_line(host, line)
-                self._check_deadlines(time.monotonic())
-                self.obs.status_tick(pending=len(self.pending),
-                                     leased=len(self.active),
-                                     hosts=self._host_status())
-        finally:
-            self._shutdown_hosts()
-
-    def _interrupt(self) -> None:
-        flushed: set[str] = set()
-        for lease in list(self.active.values()):
-            self.obs.end(lease.sid, outcome="interrupted")
-            lease.sid = None
-            if lease.cell.id not in self.outcomes and lease.cell.id not in flushed:
-                self.book.record_pending(lease.cell.id, lease.attempt)
-                flushed.add(lease.cell.id)
-                self.obs.emit("cell.interrupted", cell=lease.cell.id)
-        done = sum(1 for o in self.outcomes.values() if o.ok)
-        failed = len(self.outcomes) - done
-        raise SweepInterrupted(done, failed, self.total, self.book.path)
-
-    def _shutdown_hosts(self) -> None:
-        for host in self.hosts:
-            if host.transport is None:
-                continue
-            try:
-                host.transport.send_line(encode_envelope("shutdown", {}))
-            except OSError:
-                pass
-            host.transport.close()
-            host.transport = None
-
-    def _host_status(self) -> dict[str, dict[str, Any]]:
-        """Live per-host rows for the status sidecar (`repro top`)."""
-        now = time.monotonic()
-        return {
-            h.spec.name: {
-                "state": h.state,
-                "busy": len(h.leases),
-                "done": h.outcome.done,
-                "failed": h.outcome.failed,
-                "reconnects": h.outcome.reconnects,
-                "heartbeat_age_s": (
-                    round(now - h.last_beat, 3) if h.last_beat else None
-                ),
-                "workers": h.capacity,
-            }
-            for h in self.hosts
-        }
-
-    def host_outcomes(self) -> tuple[HostOutcome, ...]:
-        now = time.monotonic()
-        for h in self.hosts:
-            if h.last_beat:
-                h.outcome.last_heartbeat_age_s = round(now - h.last_beat, 3)
-        return tuple(h.outcome for h in self.hosts)
-
-
-def run_remote_sweep(
-    spec: SweepSpec,
-    hosts: "str | list[str] | tuple[HostSpec, ...]",
-    *,
-    timeout_s: float | None = None,
-    max_attempts: int = _pool.DEFAULT_MAX_ATTEMPTS,
-    manifest_path: str | None = None,
-    resume: bool = False,
-    cache_dir: str | None = None,
-    heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-    straggler_factor: float | None = DEFAULT_STRAGGLER_FACTOR,
-    connect_timeout_s: float = 10.0,
-    reconnect_attempts: int = 1,
-    local_workers: int = 1,
-    workers_per_host: int = 1,
-    progress: Callable[[str], None] | None = None,
-    obs: "SweepObserver | None" = None,
-) -> SweepResult:
-    """Execute ``spec`` across remote host agents; always completes.
-
-    Same contract as :func:`~repro.sweep.pool.run_sweep` — per-cell
-    retry up to ``max_attempts``, resumable manifest, result cache,
-    deterministic merge — plus the fault model described in the module
-    docstring.  With every host dead, the remaining cells run on a local
-    pool of ``local_workers``; the sweep never aborts because the fleet
-    did.
-    """
-    host_specs = parse_hosts(hosts, default_workers=workers_per_host)
-    max_attempts = max(1, int(max_attempts))
-    if not (math.isfinite(heartbeat_s) and heartbeat_s > 0.0):
-        raise ValueError(
-            f"--heartbeat-s must be a positive finite number, got {heartbeat_s!r}"
-        )
-    if not straggler_factor:  # 0 / None both mean "never re-dispatch"
-        straggler_factor = None
-    elif not math.isfinite(straggler_factor) or straggler_factor < 1.0:
-        raise ValueError(
-            f"--straggler-factor must be >= 1 (or 0 to disable), "
-            f"got {straggler_factor!r}"
-        )
-    if obs is None:
-        obs = _default_obs(progress)
-    total = len(spec.cells)
-    # Fail fast on a non-portable grid — before any agent is started.
-    encode_spec(spec)
-
-    sweep_sid = obs.begin("sweep", spec=spec.name, cells=total,
-                          hosts=len(host_specs))
-    try:
-        prep_sid = obs.begin("prepare")
-        outcomes, pending, book, cache = _prepare(
-            spec, manifest_path=manifest_path, resume=resume,
-            cache_dir=cache_dir, obs=obs,
-        )
-        obs.end(prep_sid, pending=len(pending), settled=len(outcomes))
-        obs.status_tick(pending=len(pending), leased=0, force=True)
-
-        scheduler = None
-        spawned = 0
-        if pending:
-            with _SignalGuard(obs.note) as guard:
-                scheduler = _RemoteScheduler(
-                    spec, host_specs,
-                    outcomes=outcomes, pending=pending, book=book, cache=cache,
-                    timeout_s=timeout_s, max_attempts=max_attempts,
-                    heartbeat_s=heartbeat_s, straggler_factor=straggler_factor,
-                    connect_timeout_s=connect_timeout_s,
-                    reconnect_attempts=reconnect_attempts,
-                    obs=obs, guard=guard,
-                )
-                scheduler.run()
-                spawned = scheduler.spawned_agents
-                if len(outcomes) < total:
-                    # Graceful degradation: every host is gone, the grid is
-                    # not.  Anything still leased was already requeued by
-                    # _lose_host, so `pending` is exactly the unfinished set.
-                    obs.emit("sweep.degraded", hosts=len(host_specs),
-                             cells=total - len(outcomes))
-                    spawned += _run_pool(
-                        spec, pending, outcomes, book, cache,
-                        workers=local_workers, timeout_s=timeout_s,
-                        max_attempts=max_attempts, obs=obs, total=total,
-                        guard=guard,
-                    )
-
-        merge_sid = obs.begin("merge")
-        result = SweepResult(
-            spec=spec,
-            outcomes=tuple(outcomes[cell.id] for cell in spec.cells),
-            workers=sum(h.workers for h in host_specs),
-            spawned_workers=spawned,
-            host_outcomes=(
-                scheduler.host_outcomes() if scheduler is not None
-                else tuple(HostOutcome(host=h.name, state="unused")
-                           for h in host_specs)
-            ),
-            cache_hits=scheduler.cache_hits if scheduler is not None else 0,
-        )
-        obs.end(merge_sid, cells=len(result.outcomes))
-    except SweepInterrupted:
-        obs.end(sweep_sid, state="interrupted")
-        obs.status_tick(force=True)
-        raise
-    obs.end(sweep_sid, state="done" if result.ok else "failed")
-    obs.status_tick(pending=0, leased=0, force=True)
-    return result
+        if self.proc.stdout is not None:
+            self.proc.stdout.close()
 
 
 # --------------------------------------------------------------------------
 # Agent side
 # --------------------------------------------------------------------------
-
-
-class _AgentPool:
-    """The agent's persistent worker pool: lease in, result out.
-
-    Reuses the local pool's worker body (warm imports, JSON result
-    framing, crash isolation) but is *incremental* — the driver decides
-    what to lease next, the agent only executes.  Cells arrived over the
-    wire as JSON, so the pool is spawn-safe by construction.
-    """
-
-    def __init__(self, cells: tuple[SweepCell, ...], capacity: int) -> None:
-        self.ctx = _pool._context()
-        self.cells = cells
-        self.index_of = {cell.id: i for i, cell in enumerate(cells)}
-        self.capacity = max(1, capacity)
-        self.idle: list[Any] = []
-        self.busy: dict[str, Any] = {}  # lease id -> worker
-        self.done = 0
-
-    def _spawn(self) -> Any:
-        parent_conn, child_conn = self.ctx.Pipe()
-        proc = self.ctx.Process(
-            target=_pool._worker_main,
-            args=(self.cells, child_conn),
-            name=f"agent-worker-{len(self.idle) + len(self.busy)}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        return _pool._Worker(proc, parent_conn)
-
-    def claim(self, cell_id: str) -> tuple[str | None, Any, int | None]:
-        """Reserve a worker for ``cell_id`` without starting the cell;
-        returns ``(error, worker, index)``.  Split from :meth:`start` so
-        the agent can journal the cell's ``begin`` span *before* the
-        worker could possibly run (and, in the kill-agent fault mode,
-        murder this process ahead of its own begin event)."""
-        index = self.index_of.get(cell_id)
-        if index is None:
-            return f"agent does not know cell {cell_id!r}", None, None
-        worker = self.idle.pop() if self.idle else self._spawn()
-        return None, worker, index
-
-    def start(self, lease_id: str, worker: Any, index: int) -> str | None:
-        """Send a claimed cell to its worker; returns an error or None.
-        A worker that died idle is replaced once (the begin span then
-        carries the stale pid — a cosmetic casualty of a rare path)."""
-        try:
-            worker.conn.send(index)
-        except (BrokenPipeError, OSError):
-            _kill(worker.proc, grace_s=0.1)
-            worker = self._spawn()
-            try:
-                worker.conn.send(index)
-            except (BrokenPipeError, OSError):
-                return "agent worker died before accepting the cell"
-        self.busy[lease_id] = worker
-        return None
-
-    def cancel(self, lease_id: str) -> None:
-        worker = self.busy.pop(lease_id, None)
-        if worker is not None:
-            _kill(worker.proc, grace_s=0.5)
-
-    def poll(self, timeout: float) -> list[tuple[str, dict[str, Any]]]:
-        """Results (and worker deaths) since the last poll."""
-        if not self.busy:
-            time.sleep(timeout)
-            return []
-        owner: dict[Any, str] = {}
-        for lease_id, worker in self.busy.items():
-            owner[worker.conn] = lease_id
-            owner[worker.proc.sentinel] = lease_id
-        ready = connection.wait(list(owner), timeout=timeout)
-        results: list[tuple[str, dict[str, Any]]] = []
-        for lease_id in {owner[r] for r in ready}:
-            worker = self.busy.pop(lease_id)
-            try:
-                blob = json.loads(worker.conn.recv_bytes().decode("utf-8"))
-                self.idle.append(worker)
-            except (EOFError, OSError, json.JSONDecodeError):
-                worker.proc.join(1.0)
-                blob = {"ok": False, "error": _pool._crash_error(worker.proc)}
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-            if blob.get("ok"):
-                self.done += 1
-            results.append((lease_id, blob))
-        return results
-
-    def shutdown(self) -> None:
-        for worker in self.idle:
-            try:
-                worker.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for worker in list(self.busy.values()) + self.idle:
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            _kill(worker.proc, grace_s=1.0)
-
-
-class _StdinLines:
-    """Non-blocking line framing over a raw fd.
-
-    The agent multiplexes driver commands and worker pipes in ONE
-    ``connection.wait`` — no stdin reader thread.  A thread blocked in
-    ``sys.stdin.readline()`` would hold the buffered reader's lock
-    across the pool's ``fork()``; the forked worker's multiprocessing
-    bootstrap then closes ``sys.stdin`` and deadlocks on that
-    never-to-be-released lock.
-    """
-
-    def __init__(self, fd: int) -> None:
-        self.fd = fd
-        self.buffer = b""
-        self.eof = False
-        os.set_blocking(fd, False)
-
-    def drain(self) -> list[str | None]:
-        """Complete lines available now; ``None`` marks driver EOF."""
-        lines: list[str | None] = []
-        while not self.eof:
-            try:
-                chunk = os.read(self.fd, 1 << 16)
-            except BlockingIOError:
-                break
-            except OSError:
-                chunk = b""
-            if not chunk:
-                self.eof = True
-                break
-            self.buffer += chunk
-        while b"\n" in self.buffer:
-            raw, self.buffer = self.buffer.split(b"\n", 1)
-            lines.append(raw.decode("utf-8", errors="replace"))
-        if self.eof:
-            lines.append(None)
-        return lines
 
 
 def agent_main(workers: int = 1) -> int:
@@ -1113,10 +314,11 @@ def agent_main(workers: int = 1) -> int:
     emit("spec-ack", {"fingerprint": spec.fingerprint()})
 
     # Workers inherit this and use it to tell "I run under an agent"
-    # apart from the plain local pool (see the flaky kill-agent mode).
+    # apart from the driver's own local host (see the flaky kill-agent
+    # mode).
     os.environ["REPRO_SWEEP_AGENT"] = "1"
-    pool = _AgentPool(spec.cells, max(1, int(workers)))
-    stdin = _StdinLines(sys.stdin.fileno())
+    pool = WorkerPool(spec.cells, max(1, int(workers)))
+    stdin = LineReader(sys.stdin.fileno())
 
     # Journal mode (spec extras carry the driver's request): buffer
     # begin/end events for this agent's cell.run spans and ship them as
@@ -1128,14 +330,19 @@ def agent_main(workers: int = 1) -> int:
     open_spans: dict[str, tuple[str, str, str]] = {}  # lease -> (sid, actor, cell)
     span_seq = 0
 
-    def span_begin(lease_id: str, cell_id: str, pid: int | None,
+    def flush_journal() -> None:
+        if journal_events:
+            emit("journal", {"events": list(journal_events)})
+            journal_events.clear()
+
+    def span_begin(lease_id: str, cell_id: str, pid: int,
                    attempt: Any) -> None:
         nonlocal span_seq
         if not journal_on:
             return
         span_seq += 1
         sid = f"a{span_seq}"
-        actor = f"worker/{pid}" if pid is not None else "agent"
+        actor = f"worker/{pid}"
         open_spans[lease_id] = (sid, actor, cell_id)
         event: dict[str, Any] = {
             "ev": "begin", "span": "cell.run", "sid": sid, "actor": actor,
@@ -1144,10 +351,11 @@ def agent_main(workers: int = 1) -> int:
         if attempt is not None:
             event["fields"] = {"attempt": attempt}
         journal_events.append(event)
+        # On the wire BEFORE the cell starts: a cell that SIGKILLs this
+        # agent must never outrace its own begin event to the driver.
+        flush_journal()
 
     def span_end(lease_id: str, **fields: Any) -> None:
-        if not journal_on:
-            return
         entry = open_spans.pop(lease_id, None)
         if entry is None:
             return
@@ -1164,12 +372,8 @@ def agent_main(workers: int = 1) -> int:
     next_beat = time.monotonic() + beat_every
     try:
         while True:
-            wait_on: list[Any] = [stdin.fd]
-            for worker in pool.busy.values():
-                wait_on.append(worker.conn)
-                wait_on.append(worker.proc.sentinel)
             timeout = max(0.0, min(beat_every, next_beat - time.monotonic()))
-            connection.wait(wait_on, timeout=timeout)
+            connection.wait([stdin, *pool.waitables()], timeout=timeout)
             for command in stdin.drain():
                 if command is None:
                     return 0  # driver went away; die with it
@@ -1180,61 +384,49 @@ def agent_main(workers: int = 1) -> int:
                     continue
                 if kind == "shutdown":
                     # Flush any ends buffered in this drain batch (a
-                    # cancel riding with the shutdown) before dying,
+                    # cancel riding with the shutdown) before exiting,
                     # or they would surface as synthetic aborted ends.
-                    if journal_events:
-                        emit("journal", {"events": journal_events})
+                    flush_journal()
                     return 0
                 if kind == "lease":
                     lease_id = str(body["lease"])
                     cell_id = str(body["cell"])
-                    error, worker, index = pool.claim(cell_id)
-                    if error is None:
-                        # Begin span on the wire BEFORE the cell starts:
-                        # a cell that SIGKILLs this agent must never
-                        # outrace its own begin event to the driver.
-                        span_begin(lease_id, cell_id, worker.proc.pid,
-                                   body.get("attempt"))
-                        if journal_events:
-                            emit("journal", {"events": journal_events})
-                            journal_events = []
-                        error = pool.start(lease_id, worker, index)
-                    if error is not None:
-                        span_end(lease_id, ok=False, error=error)
+                    if cell_id not in pool.index_of:
                         emit("result", {
-                            "lease": lease_id, "cell": cell_id,
-                            "ok": False, "error": error,
+                            "lease": lease_id, "cell": cell_id, "ok": False,
+                            "error": f"agent does not know cell {cell_id!r}",
                         })
-                    else:
-                        lease_cells[lease_id] = cell_id
+                        continue
+                    lease_cells[lease_id] = cell_id
+                    pool.submit(
+                        lease_id, cell_id,
+                        lambda pid: span_begin(lease_id, cell_id, pid,
+                                               body.get("attempt")),
+                    )
                 elif kind == "cancel":
                     lease_id = str(body["lease"])
                     pool.cancel(lease_id)
                     lease_cells.pop(lease_id, None)
                     span_end(lease_id, ok=False, cancelled=True)
-            for lease_id, blob in pool.poll(timeout=0.0):
-                end_fields: dict[str, Any] = {"ok": bool(blob.get("ok"))}
-                if isinstance(blob.get("t0"), (int, float)) and \
-                        isinstance(blob.get("t1"), (int, float)):
-                    end_fields["compute_s"] = max(0.0, blob["t1"] - blob["t0"])
-                span_end(lease_id, **end_fields)
+            for lease_id, blob in pool.poll():
+                ok = bool(blob.get("ok"))
+                if "compute_s" in blob:
+                    span_end(lease_id, ok=ok, compute_s=blob["compute_s"])
+                else:
+                    span_end(lease_id, ok=ok, error=blob.get("error", ""))
                 # Journal before result: the driver may stop reading
                 # the moment the last result settles the sweep, and
                 # the pipe preserves order — so the span's real end
                 # always lands before the result that retires it.
-                if journal_events:
-                    emit("journal", {"events": journal_events})
-                    journal_events = []
+                flush_journal()
                 emit("result", {
                     "lease": lease_id,
                     "cell": lease_cells.pop(lease_id, "?"),
-                    "ok": bool(blob.get("ok")),
+                    "ok": ok,
                     "payload": blob.get("payload"),
                     "error": blob.get("error", ""),
                 })
-            if journal_events:
-                emit("journal", {"events": journal_events})
-                journal_events = []
+            flush_journal()
             now = time.monotonic()
             if now >= next_beat:
                 emit("heartbeat", {

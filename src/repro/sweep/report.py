@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.sweep.pool import SweepResult
+from repro.sweep.scheduler import SweepResult
 
 __all__ = ["build_report", "write_report"]
 

@@ -233,6 +233,7 @@ def flaky_cell(params: dict[str, Any]) -> Any:
         time.sleep(params.get("sleep_s", 0.2))
         return params.get("payload", "slept")
     if mode == "kill-agent":
+        import select
         import signal
 
         if os.environ.get("REPRO_SWEEP_AGENT") != "1":
@@ -242,7 +243,15 @@ def flaky_cell(params: dict[str, Any]) -> Any:
                 with open(marker, "w", encoding="utf-8"):
                     pass
             os.kill(os.getppid(), signal.SIGKILL)
-            time.sleep(60.0)  # die with the agent, never return a result
+            # Die with the agent, never return a result — but only once
+            # the driver hangs up: holding the agent's stdout (our
+            # inherited fd 1) open until then means the driver must
+            # notice the death by heartbeat silence, not by EOF.  A
+            # pipe's write end polls POLLERR once its reader is gone.
+            hangup = select.poll()
+            hangup.register(1, 0)
+            hangup.poll(60_000)
+            os._exit(0)
         return params.get("payload", "recovered")
     if marker is not None and os.path.exists(marker):
         return params.get("payload", "recovered")

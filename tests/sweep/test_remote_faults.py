@@ -13,7 +13,8 @@ from repro.sweep import (
     run_remote_sweep,
     run_sweep,
 )
-from repro.sweep.remote import _Lease, _RemoteScheduler
+from repro.obs import SweepObserver
+from repro.sweep.scheduler import _LocalHost, _Lease, _Scheduler
 
 
 def sleepy_cells(n, prefix="c", sleep_s=0.05):
@@ -88,12 +89,11 @@ def test_duplicate_result_discarded_at_most_once(tmp_path):
     sibling's late result is discarded and counted against its host."""
     cell = SweepCell("dup", "flaky", {"mode": "sleep", "payload": "x"})
     spec = SweepSpec("dups", (cell,))
-    scheduler = _RemoteScheduler(
+    scheduler = _Scheduler(
         spec, parse_hosts("loopback,loopback"),
         outcomes={}, pending=deque(), book=Manifest(None, spec), cache=None,
         timeout_s=None, max_attempts=3, heartbeat_s=1.0,
         straggler_factor=None, connect_timeout_s=5.0, reconnect_attempts=0,
-        note=lambda _msg: None,
     )
     first, second = scheduler.hosts
     for host, lease_id in ((first, "L1"), (second, "L2")):
@@ -110,10 +110,12 @@ def test_duplicate_result_discarded_at_most_once(tmp_path):
     assert not scheduler.active
 
 
-def test_redispatch_consults_result_cache(tmp_path):
+@pytest.mark.parametrize("kind", ["local", "loopback"])
+def test_redispatch_consults_result_cache(tmp_path, kind):
     """A cell requeued after dispatch began is served from the result
     cache when a fingerprint-identical cell has completed in the
-    meantime, instead of being re-executed on a host."""
+    meantime, instead of being re-executed on a host — the local host
+    and an agent host alike."""
     from repro.sweep.manifest import ResultCache
     from repro.sweep.spec import cell_fingerprint
 
@@ -130,18 +132,23 @@ def test_redispatch_consults_result_cache(tmp_path):
     notes = []
     outcomes = {}
     pending = deque([(second, 1)])
-    scheduler = _RemoteScheduler(
-        spec, parse_hosts("loopback"),
+    scheduler = _Scheduler(
+        spec, parse_hosts("loopback") if kind == "loopback" else (),
         outcomes=outcomes, pending=pending, book=Manifest(None, spec),
         cache=cache, timeout_s=None, max_attempts=3, heartbeat_s=1.0,
         straggler_factor=None, connect_timeout_s=5.0, reconnect_attempts=0,
-        note=notes.append,
+        obs=SweepObserver(progress=notes.append),
     )
-    host = scheduler.hosts[0]
-    host.state = "ready"
-    host.transport = object()  # must never be used: the cache serves it
+    if kind == "loopback":
+        host = scheduler.hosts[0]
+        host.state = "ready"
+        host.transport = object()  # must never be used: the cache serves it
+    else:
+        host = _LocalHost(spec, 1, pending)
+        scheduler.hosts.append(host)
     scheduler._dispatch()
     assert scheduler.cache_hits == 1
+    assert scheduler.spawned == 0
     assert not pending and not scheduler.active
     assert outcomes["second"].ok and outcomes["second"].cached
     assert outcomes["second"].payload == {"value": 41}

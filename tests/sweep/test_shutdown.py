@@ -10,7 +10,14 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.sweep import Manifest, SweepCell, SweepSpec, SweepInterrupted, run_sweep
+from repro.sweep import (
+    Manifest,
+    SweepCell,
+    SweepInterrupted,
+    SweepSpec,
+    run_remote_sweep,
+    run_sweep,
+)
 from repro.sweep.pool import _kill
 
 
@@ -92,3 +99,52 @@ def test_sigint_flushes_manifest_and_raises(tmp_path):
     assert [o.payload for o in resumed.outcomes] == [
         f"p{i}" for i in range(4)
     ]
+
+
+def _processes_with_env(token):
+    """Pids whose environment carries ``token`` (agents and their workers
+    inherit the driver's environment)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit() or int(entry) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/{entry}/environ", "rb") as fh:
+                if token in fh.read():
+                    found.append(int(entry))
+        except OSError:
+            pass
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+@pytest.mark.parametrize("kill_agent", [False, True])
+def test_remote_sweep_leaves_no_agents_or_reader_threads(
+        monkeypatch, tmp_path, kill_agent):
+    """A finished remote sweep must not leak: within 2 s of returning, no
+    agent (or agent worker) process and no driver reader thread is left —
+    not even the workers of an agent SIGKILLed mid-sweep."""
+    token = f"sweep-leak-probe-{os.getpid()}-{time.monotonic_ns()}"
+    monkeypatch.setenv("REPRO_TEST_LEAK_PROBE", token)
+    cells = [
+        SweepCell(f"c{i}", "flaky",
+                  {"mode": "sleep", "sleep_s": 0.05, "payload": f"p{i}"})
+        for i in range(4)
+    ]
+    if kill_agent:
+        cells.insert(1, SweepCell("killer", "flaky", {
+            "mode": "kill-agent", "marker": str(tmp_path / "killed"),
+            "payload": "recovered",
+        }))
+    result = run_remote_sweep(SweepSpec("leak", tuple(cells)), "loopback:2",
+                              heartbeat_s=0.3)
+    assert result.ok
+    deadline = time.monotonic() + 2.0
+    while True:
+        survivors = _processes_with_env(token.encode())
+        readers = [t.name for t in threading.enumerate()
+                   if t.name.startswith("sweep-reader")]
+        if (not survivors and not readers) or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert survivors == [] and readers == []
