@@ -97,6 +97,12 @@ assert journal["identical"] is True, f"journal-armed sweep diverged: {journal}"
 assert journal["journal_events"] > 0, journal
 print(f"span journal is a measured nop: {journal['journal_events']} events, "
       f"overhead {journal['overhead']}x, identical=True")
+
+trace = bench["trace"]
+assert trace["identical"] is True, f"trace-armed run diverged: {trace}"
+assert trace["events_emitted"] > 0, trace
+print(f"tracepoints observe, never steer: {trace['events_emitted']} events, "
+      f"overhead {trace['overhead']}x, identical=True")
 PYEOF
 
 echo "== chaos smoke (2 policies x 1 workload under faults) =="

@@ -20,18 +20,19 @@ scan budget to 1024 pages):
    On a DRAM node there is no higher tier, so the whole promote list
    recycles to active.
 
-The two harvesting scans run as vectorized column sweeps over the
-struct-of-arrays page store: one pointer walk collects the budgeted tail
-segment, numpy masks decide every transition at once, and the list is
-rebuilt with a handful of fancy-index link writes.  A pass that runs out
-of list before budget keeps the CLOCK semantics of the scalar loop —
-already-rotated pages are re-visited as pure rotations, which the sweep
-reproduces as a rotation of the survivor block.  The scalar loops remain
-as the reference path, used whenever a tracer is attached (per-page
-tracepoints must fire in visit order) or the policy overrides
-``observe_scan`` (per-page observation order matters); the drain keeps
-its scalar form — every page it visits leaves the list through the
-migration machinery, which is where all the cost lives anyway.
+The two harvesting scans are one vectorized column sweep over the
+struct-of-arrays page store, whatever the policy and whether or not a
+tracer is attached: one pointer walk collects the budgeted tail segment,
+numpy masks decide every transition at once, and the list is rebuilt
+with a handful of fancy-index link writes.  A pass that runs out of
+list before budget keeps CLOCK semantics — the hand keeps taking the
+current tail, so already-rotated pages are re-visited as pure rotations,
+which the sweep reproduces as a rotation of the survivor block.
+Tracepoints and the policy's ``observe_scan`` see the pages in visit
+order, after the fact; they observe the sweep and never choose it.  The
+drain keeps its scalar form — every page it visits leaves the list
+through the migration machinery, which is where all the cost lives
+anyway.
 """
 
 from __future__ import annotations
@@ -40,13 +41,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.state import move_to_promote, recycle_promote_to_active
+from repro.core.state import recycle_promote_to_active
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
 from repro.mm.numa import NumaNode
 from repro.mm.pagestore import NO_PFN
-from repro.mm.vmscan import ScanResult, shrink_inactive_list
-from repro.policies.base import TieringPolicy
+from repro.mm.vmscan import ScanResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.multiclock import MultiClockPolicy
@@ -79,8 +79,8 @@ class KPromoted:
         budget = system.config.daemons.scan_budget_pages
         total = ScanResult()
         for is_anon in (True, False):
-            total.merge(self._scan_inactive(is_anon, budget))
-            total.merge(self._scan_active(is_anon, budget))
+            total.merge(self._sweep(ListKind.INACTIVE, ListKind.ACTIVE, is_anon, budget))
+            total.merge(self._sweep(ListKind.ACTIVE, ListKind.PROMOTE, is_anon, budget))
             total.merge(self._drain_promote(is_anon, budget))
         self._c_runs.n += 1
         self._c_pages_scanned.n += total.scanned
@@ -96,50 +96,30 @@ class KPromoted:
         self._c_deactivated.n += total.deactivated
         return total.system_ns
 
-    def _vector_scans_ok(self) -> bool:
-        """Whether the column-sweep scans preserve observable behaviour."""
-        return (
-            self.policy.system.trace is None
-            and type(self.policy).observe_scan is TieringPolicy.observe_scan
-        )
+    def _sweep(
+        self, src_kind: ListKind, dst_kind: ListKind, is_anon: bool, budget: int
+    ) -> ScanResult:
+        """One budgeted CLOCK pass over ``src_kind``, as a column sweep.
 
-    @staticmethod
-    def _wrap_survivors(
-        survivors: np.ndarray, n: int, budget: int, result: ScanResult
-    ) -> np.ndarray:
-        """Account a scan that lapped the list (budget beyond one pass).
-
-        Once every page has been visited, harvested bits are spent, so
-        each further visit is a pure rotation of the current tail.  The
-        net effect of ``budget - n`` such rotations on the survivor block
-        is a rotation by ``(budget - n) mod m``; an emptied list stops
-        the scan at ``n``.
+        Referenced pages found accessed again move up the ladder to the
+        head of ``dst_kind``: inactive → active (edges 1, 6) or active →
+        promote (edge 10).  Accessed unreferenced pages gain REFERENCED
+        and rotate; unaccessed pages rotate (the CLOCK hand advances).
+        A budget beyond the list laps it: harvested bits are spent, so
+        each further visit of the current tail is a pure rotation, and
+        ``budget - n`` of them rotate the survivor block by
+        ``(budget - n) mod m``; an emptied list stops the scan at ``n``.
         """
-        m = len(survivors)
-        if m == 0:
-            result.scanned = n
-            return survivors
-        result.scanned = budget
-        r = (budget - n) % m
-        if r:
-            survivors = np.concatenate([survivors[r:], survivors[:r]])
-        return survivors
-
-    def _scan_inactive(self, is_anon: bool, budget: int) -> ScanResult:
-        """Advance referenced inactive pages up the ladder (edges 1, 6)."""
-        if not self._vector_scans_ok():
-            return self._scan_inactive_scalar(is_anon, budget)
         result = ScanResult()
         system = self.policy.system
-        inactive = self.node.lruvec.list_for(ListKind.INACTIVE, is_anon)
-        n = len(inactive)
+        src = self.node.lruvec.list_for(src_kind, is_anon)
+        n = len(src)
         if n == 0 or budget <= 0:
             result.system_ns = system.hardware.scan_ns(0)
             return result
-        active = self.node.lruvec.list_for(ListKind.ACTIVE, is_anon)
-        store = inactive._store
+        store = src._store
         k1 = min(budget, n)
-        visited = store.walk_tail(inactive, k1)
+        visited = store.walk_tail(src, k1)
         col_acc = store.pte_accessed
         col_flags = store.flags
         ref_bit = int(PageFlags.REFERENCED)
@@ -148,142 +128,46 @@ class KPromoted:
         if acc.any():
             col_acc[visited[acc]] = False
         ref = (col_flags[visited] & ref_bit) != 0
-        act_mask = acc & ref
-        new_ref = acc & ~ref
-        survivors = visited[~act_mask]
-        movers = visited[act_mask]
-        n_ref = int(np.count_nonzero(new_ref))
-        if n_ref:
-            col_flags[visited[new_ref]] |= ref_bit
-        if budget > n:
-            survivors = self._wrap_survivors(survivors, n, budget, result)
-            rest_tail = NO_PFN
-        else:
-            result.scanned = k1
-            rest_tail = int(store.lru_prev[visited[-1]]) if k1 < n else NO_PFN
-        store.rebuild_after_scan(inactive, survivors, rest_tail, len(movers))
-        if len(movers):
-            col_flags[movers] = (col_flags[movers] & ~ref_bit) | int(PageFlags.ACTIVE)
-            store.prepend_head_block(active, movers, int(PageFlags.LRU))
-            result.activated = len(movers)
-        result.referenced = n_ref
-        result.system_ns = system.hardware.scan_ns(result.scanned)
-        return result
-
-    def _scan_active(self, is_anon: bool, budget: int) -> ScanResult:
-        """Move twice-referenced active pages to the promote list (edge 10)."""
-        if not self._vector_scans_ok():
-            return self._scan_active_scalar(is_anon, budget)
-        result = ScanResult()
-        system = self.policy.system
-        active = self.node.lruvec.list_for(ListKind.ACTIVE, is_anon)
-        n = len(active)
-        if n == 0 or budget <= 0:
-            result.system_ns = system.hardware.scan_ns(0)
-            return result
-        promote = self.node.lruvec.list_for(ListKind.PROMOTE, is_anon)
-        store = active._store
-        k1 = min(budget, n)
-        visited = store.walk_tail(active, k1)
-        col_acc = store.pte_accessed
-        col_flags = store.flags
-        ref_bit = int(PageFlags.REFERENCED)
-        acc = col_acc[visited] & (store.mapcount[visited] > 0)
-        if acc.any():
-            col_acc[visited[acc]] = False
-        ref = (col_flags[visited] & ref_bit) != 0
         mov_mask = acc & ref
         new_ref = acc & ~ref
         survivors = visited[~mov_mask]
         movers = visited[mov_mask]
-        n_ref = int(np.count_nonzero(new_ref))
-        if n_ref:
+        result.referenced = int(np.count_nonzero(new_ref))
+        if result.referenced:
             col_flags[visited[new_ref]] |= ref_bit
-        if budget > n:
-            survivors = self._wrap_survivors(survivors, n, budget, result)
-            rest_tail = NO_PFN
-        else:
-            result.scanned = k1
-            rest_tail = int(store.lru_prev[visited[-1]]) if k1 < n else NO_PFN
-        store.rebuild_after_scan(active, survivors, rest_tail, len(movers))
-        if len(movers):
-            col_flags[movers] = (
-                col_flags[movers] & ~int(PageFlags.ACTIVE)
-            ) | (int(PageFlags.PROMOTE) | ref_bit)
-            store.prepend_head_block(promote, movers, int(PageFlags.LRU))
+        pfns = visited
+        if budget > n and len(survivors):
+            revisits = np.resize(survivors, budget - n)
+            pfns = np.concatenate([visited, revisits])
+            survivors = np.roll(survivors, -((budget - n) % len(survivors)))
+        result.scanned = len(pfns)
+        self.policy.observe_scan(pfns)
+        rest_tail = int(store.lru_prev[visited[-1]]) if k1 < n else NO_PFN
+        store.rebuild_after_scan(src, survivors, rest_tail, len(movers))
+        result.system_ns = system.hardware.scan_ns(result.scanned)
+        if not len(movers):
+            return result
+        promote = dst_kind is ListKind.PROMOTE
+        if promote:
+            clear, mark = int(PageFlags.ACTIVE), int(PageFlags.PROMOTE) | ref_bit
             result.to_promote_list = len(movers)
-            if system.metrics is not None:
-                note_add = system.metrics.note_promote_list_add
-                now_ns = system.clock.now_ns
-                for pfn in movers.tolist():
-                    note_add(pfn, now_ns)
-        result.referenced = n_ref
-        result.system_ns = system.hardware.scan_ns(result.scanned)
-        return result
-
-    def _scan_inactive_scalar(self, is_anon: bool, budget: int) -> ScanResult:
-        """Reference implementation of the inactive sweep (traced runs)."""
-        result = ScanResult()
-        system = self.policy.system
-        inactive = self.node.lruvec.list_for(ListKind.INACTIVE, is_anon)
-        active = self.node.lruvec.list_for(ListKind.ACTIVE, is_anon)
-        for page in inactive.iter_from_tail():
-            if result.scanned >= budget:
-                break
-            result.scanned += 1
-            self.policy.observe_scan(page)
-            if not page.harvest_accessed():
-                # Advance the CLOCK hand: rotate unaccessed pages so the
-                # next wakeup continues the sweep instead of re-scanning
-                # the same cold tail forever.
-                inactive.rotate_to_head(page)
-                continue
-            if page.test(PageFlags.REFERENCED):
-                inactive.remove(page)
-                page.clear(PageFlags.REFERENCED)
-                page.set(PageFlags.ACTIVE)
-                active.add_head(page)
-                result.activated += 1
-                if system.trace is not None:
-                    system.trace.trace_mm_lru_activate(
-                        self.node.node_id, page.pfn, "kpromoted"
-                    )
-            else:
-                page.set(PageFlags.REFERENCED)
-                inactive.rotate_to_head(page)
-                result.referenced += 1
-        result.system_ns = system.hardware.scan_ns(result.scanned)
-        return result
-
-    def _scan_active_scalar(self, is_anon: bool, budget: int) -> ScanResult:
-        """Reference implementation of the active sweep (traced runs)."""
-        result = ScanResult()
-        system = self.policy.system
-        active = self.node.lruvec.list_for(ListKind.ACTIVE, is_anon)
-        for page in active.iter_from_tail():
-            if result.scanned >= budget:
-                break
-            result.scanned += 1
-            self.policy.observe_scan(page)
-            if not page.harvest_accessed():
-                active.rotate_to_head(page)  # advance the CLOCK hand
-                continue
-            if page.test(PageFlags.REFERENCED):
-                move_to_promote(self.node, page)
-                result.to_promote_list += 1
-                if system.trace is not None:
-                    system.trace.trace_mm_promote_list_add(
-                        self.node.node_id, page.pfn, "kpromoted"
-                    )
-                if system.metrics is not None:
-                    system.metrics.note_promote_list_add(
-                        page.pfn, system.clock.now_ns
-                    )
-            else:
-                page.set(PageFlags.REFERENCED)
-                active.rotate_to_head(page)
-                result.referenced += 1
-        result.system_ns = system.hardware.scan_ns(result.scanned)
+        else:
+            clear, mark = ref_bit, int(PageFlags.ACTIVE)
+            result.activated = len(movers)
+        col_flags[movers] = (col_flags[movers] & ~clear) | mark
+        dst = self.node.lruvec.list_for(dst_kind, is_anon)
+        store.prepend_head_block(dst, movers, int(PageFlags.LRU))
+        # Movers left the list in visit order; emit for them in that order.
+        tr = system.trace
+        if tr is not None:
+            emit = tr.trace_mm_promote_list_add if promote else tr.trace_mm_lru_activate
+            for pfn in movers.tolist():
+                emit(self.node.node_id, pfn, "kpromoted")
+        if promote and system.metrics is not None:
+            note_add = system.metrics.note_promote_list_add
+            now_ns = system.clock.now_ns
+            for pfn in movers.tolist():
+                note_add(pfn, now_ns)
         return result
 
     def _drain_promote(self, is_anon: bool, budget: int) -> ScanResult:

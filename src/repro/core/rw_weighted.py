@@ -20,6 +20,8 @@ classification tracks its recent behaviour, not its whole history.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.multiclock import MultiClockPolicy
 from repro.mm.page import Page
 from repro.policies import movement
@@ -45,15 +47,20 @@ class RWWeightedMultiClockPolicy(MultiClockPolicy):
         key_insight="Spend DRAM on read-heavy pages under asymmetric PM latency",
     )
 
-    def observe_scan(self, page: Page) -> None:
-        """Refresh the page's written-this-window observation.
+    def observe_scan(self, pfns: np.ndarray) -> None:
+        """Refresh each visited page's written-this-window observation.
 
-        Every kpromoted scan step harvests the PTE dirty bits, so by the
-        time a page reaches a promotion decision (three-plus scans into
-        the ladder) its recorded dirtiness reflects the latest inter-scan
-        window — not stale history like the load phase's initial write.
+        Every kpromoted sweep harvests the PTE dirty bits of the pages it
+        visits, in visit order, so by the time a page reaches a promotion
+        decision (three-plus scans into the ladder) its recorded
+        dirtiness reflects the latest inter-scan window — not stale
+        history like the load phase's initial write.  A lap revisit
+        finds the bits already harvested and records ``False``.
         """
-        page.policy_data = page.harvest_dirty()
+        pages = self.system.pagestore.pages
+        for pfn in pfns.tolist():
+            page = pages[pfn]
+            page.policy_data = page.harvest_dirty()
 
     def promote_page(self, page: Page) -> bool:
         """Edge 13, weighted by dirtiness when DRAM is contended.

@@ -145,26 +145,22 @@ def deactivate_excess_active(
     limits) applies proportional reclaim: a page weighing more than 1
     loses every second chance and deactivates on first sight.
 
-    The forced scan with no tracer, hook or weights — the direct-reclaim
-    escalation and every baseline kswapd pass — runs on pagestore columns
-    instead of per-page objects: a tail segment is classified with
-    boolean masks and the list is rebuilt with batch splices.  The
-    columnar walk restarts where a rotation would have wrapped, which
-    revisits pages in exactly the order the scalar wraparound does, so
-    the two paths are bit-identical (asserted by tests and the bench).
+    The forced scan with no hook or weights — the direct-reclaim
+    escalation and every baseline kswapd pass, traced or not — runs on
+    pagestore columns instead of per-page objects: a tail segment is
+    classified with boolean masks, the list is rebuilt with batch
+    splices, and the deactivations are traced after each splice in visit
+    order.  The columnar walk restarts where a rotation would have
+    wrapped, which revisits pages in exactly the order the scalar
+    wraparound does, so the two paths are bit-identical (asserted by
+    tests and the bench).
     """
     result = ScanResult()
     lruvec = node.lruvec
     active = lruvec.list_for(ListKind.ACTIVE, is_anon)
     if scan_weight is None and system.memcg is not None and system.memcg.has_limits:
         scan_weight = system.memcg.scan_weight
-    if (
-        force
-        and system.trace is None
-        and on_second_reference is None
-        and scan_weight is None
-        and len(active)
-    ):
+    if force and on_second_reference is None and scan_weight is None and len(active):
         _deactivate_vector(system, node, active, is_anon, budget, result)
     else:
         _deactivate_scalar(
@@ -192,7 +188,7 @@ def _deactivate_scalar(
     scan_weight: ScanWeightFn | None,
     result: ScanResult,
 ) -> None:
-    """Page-at-a-time reference path: tracing, hooks, ratio checks, weights."""
+    """Page-at-a-time reference path: hooks, ratio checks, weights."""
     lruvec = node.lruvec
     inactive = lruvec.list_for(ListKind.INACTIVE, is_anon)
     threshold = active_ratio_threshold(node, ratio_cap)
@@ -270,6 +266,7 @@ def _deactivate_vector(
     ref_bit = int(PageFlags.REFERENCED)
     active_bit = int(PageFlags.ACTIVE)
     lru_bit = int(PageFlags.LRU)
+    tr = system.trace
     while result.scanned < budget:
         n = len(active)
         if n == 0:
@@ -302,6 +299,9 @@ def _deactivate_vector(
             col_flags[movers] &= ~active_bit
             store.prepend_head_block(inactive, movers, lru_bit)
             result.deactivated += len(movers)
+            if tr is not None:
+                for pfn in movers.tolist():
+                    tr.trace_mm_lru_deactivate(node.node_id, pfn, "vmscan")
         if k >= n and not keep[:-1].any():
             # The scalar iterator captures its next hop before each
             # yield: visiting the original head it sees the first

@@ -17,6 +17,8 @@ import abc
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
 from repro.mm.numa import NumaNode
@@ -80,9 +82,12 @@ class TieringPolicy(abc.ABC):
     def on_access(self, pte: PageTableEntry, is_write: bool) -> None:
         """Called on every access, after latency is charged."""
 
-    def observe_scan(self, page: Page) -> None:
-        """Called for every page a kpromoted scan examines.
+    def observe_scan(self, pfns: np.ndarray) -> None:
+        """Called once per kpromoted harvesting sweep with its visits.
 
+        ``pfns`` is the visit sequence in order: the budgeted tail
+        segment, then — when the budget laps the list — the survivors
+        re-visited as pure rotations, so a pfn may appear twice.
         Policies that need per-scan-window observations beyond the
         accessed bit (e.g. the §VII dirtiness weighting) hook in here;
         the default costs nothing.

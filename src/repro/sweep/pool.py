@@ -45,7 +45,7 @@ from repro.sweep.spec import SweepCell, resolve_runner
 __all__ = ["WorkerPool"]
 
 
-def _worker_main(cells: tuple[SweepCell, ...], conn: Any) -> None:
+def _worker_main(cells: tuple[SweepCell, ...], conn: Any, parent: int) -> None:
     """Worker body: pull cell indices, stream ``{ok, payload|error}`` back.
 
     Lives for the whole sweep: imports stay warm and runner-level caches
@@ -58,11 +58,13 @@ def _worker_main(cells: tuple[SweepCell, ...], conn: Any) -> None:
     # in) before the first cell, not during it.
     import repro.sweep.runners  # noqa: F401
 
-    parent = os.getppid()
     while True:
         try:
             # A worker outliving a SIGKILLed parent would block in recv()
             # forever: it holds its own copy of the parent's pipe end.
+            # ``parent`` is the pid that forked us, recorded before the
+            # fork: one read here after start-up would miss a parent
+            # killed while we were still importing.
             while not conn.poll(1.0):
                 if os.getppid() != parent:
                     return
@@ -162,7 +164,7 @@ class WorkerPool:
         parent_conn, child_conn = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(self.cells, child_conn),
+            args=(self.cells, child_conn, os.getpid()),
             name=f"sweep-worker-{self.spawned}",
             daemon=True,
         )

@@ -1,5 +1,6 @@
 """Unit tests for the kpromoted daemon."""
 
+import numpy as np
 import pytest
 
 from repro.core.state import move_to_promote
@@ -7,7 +8,9 @@ from repro.machine import Machine
 from repro.mm.flags import PageFlags
 from repro.mm.hardware import MemoryTier
 from repro.mm.lruvec import ListKind
+from repro.mm.vmscan import ScanResult
 from repro.sim.config import DaemonConfig, SimulationConfig
+from repro.trace.export import iter_events
 
 
 @pytest.fixture
@@ -231,3 +234,128 @@ def test_drain_promotes_on_referenced_flag_alone(machine):
     pm_kpromoted(machine).run(0)
     assert machine.system.tier_of(page) is MemoryTier.DRAM
     assert not page.test(PageFlags.REFERENCED)
+
+
+# -- column sweep == page-at-a-time CLOCK loop (differential oracle) ---------
+
+LADDER = ((ListKind.INACTIVE, ListKind.ACTIVE), (ListKind.ACTIVE, ListKind.PROMOTE))
+
+
+def _warmed(policy):
+    """A machine with populated, perturbed ladder lists on every node."""
+    machine = Machine(SimulationConfig(dram_pages=(128,), pm_pages=(512,)), policy)
+    process = machine.create_process()
+    process.mmap_anon(0, 500)
+    for vpage in range(500):
+        machine.system.touch(process, vpage, is_write=vpage % 2 == 0)
+    machine.clock.advance_app(int(5e8))
+    machine.drain_daemons()
+    for node in machine.system.nodes.values():
+        inactive = node.lruvec.list_for(ListKind.INACTIVE, True)
+        active = node.lruvec.list_for(ListKind.ACTIVE, True)
+        for page in list(inactive)[::2]:
+            inactive.remove(page)
+            page.set(PageFlags.ACTIVE)
+            active.add_head(page)
+    # Deterministic perturbation: mixed accessed, dirty and REFERENCED
+    # bits so every sweep hits all three outcomes.
+    store = machine.system.pagestore
+    ref = int(PageFlags.REFERENCED)
+    store.pte_accessed[:] = False
+    store.pte_accessed[::3] = True
+    store.pte_dirty[::4] = True
+    store.flags[::5] |= ref
+    store.flags[2::7] &= ~ref
+    return machine
+
+
+def _lone_head(policy):
+    """A PM inactive list where every page but the original head moves up."""
+    machine = Machine(SimulationConfig(dram_pages=(64,), pm_pages=(256,)), policy)
+    process = machine.create_process()
+    process.mmap_anon(0, 12)
+    pages = [pm_resident(machine, process, vpage)[0] for vpage in range(12)]
+    store = machine.system.pagestore
+    for page in pages[:-1]:  # the last one added is the head
+        page.set(PageFlags.REFERENCED)
+        store.pte_accessed[page.pfn] = True
+    store.pte_dirty[pages[-1].pfn] = True
+    return machine
+
+
+def _digest(machine):
+    store = machine.system.pagestore
+    state = []
+    for node in machine.system.nodes.values():
+        for lst in node.lruvec.all_lists():
+            order = [page.pfn for page in lst]
+            state.append((
+                lst.name,
+                order,
+                [int(store.flags[pfn]) for pfn in order],
+                [bool(store.pte_accessed[pfn]) for pfn in order],
+                [bool(store.pte_dirty[pfn]) for pfn in order],
+                [store.pages[pfn].policy_data for pfn in order],
+            ))
+    return state
+
+
+def _events(machine):
+    return [
+        (event.name, event.node_id, event.pfn, event.fields)
+        for event in iter_events(machine.system.trace)
+    ]
+
+
+def _reference_sweep(policy, node, src_kind, dst_kind, is_anon, budget):
+    """CLOCK one page at a time: each step takes the list's current tail."""
+    src = node.lruvec.list_for(src_kind, is_anon)
+    dst = node.lruvec.list_for(dst_kind, is_anon)
+    trace = policy.system.trace
+    result = ScanResult()
+    while result.scanned < budget and len(src):
+        page = src.tail
+        result.scanned += 1
+        policy.observe_scan(np.array([page.pfn]))
+        if not page.harvest_accessed():
+            src.rotate_to_head(page)
+        elif not page.test(PageFlags.REFERENCED):
+            page.set(PageFlags.REFERENCED)
+            src.rotate_to_head(page)
+            result.referenced += 1
+        elif dst_kind is ListKind.PROMOTE:
+            move_to_promote(node, page)
+            result.to_promote_list += 1
+            trace.trace_mm_promote_list_add(node.node_id, page.pfn, "kpromoted")
+        else:
+            src.remove(page)
+            page.clear(PageFlags.REFERENCED)
+            page.set(PageFlags.ACTIVE)
+            dst.add_head(page)
+            result.activated += 1
+            trace.trace_mm_lru_activate(node.node_id, page.pfn, "kpromoted")
+    result.system_ns = policy.system.hardware.scan_ns(result.scanned)
+    return result
+
+
+@pytest.mark.parametrize("budget", [7, 64, 300, 5000])
+@pytest.mark.parametrize("policy", ["multiclock", "multiclock-rw"])
+@pytest.mark.parametrize("build", [_warmed, _lone_head])
+def test_sweep_bit_identical_to_page_at_a_time_clock(build, policy, budget):
+    vec = build(policy)
+    ref = build(policy)
+    assert _digest(vec) == _digest(ref)  # identical starting states
+    vec.enable_tracing()
+    ref.enable_tracing()
+
+    for kp in vec.policy._kpromoted:
+        node_r = ref.system.nodes[kp.node.node_id]
+        for is_anon in (True, False):
+            for src_kind, dst_kind in LADDER:
+                got = kp._sweep(src_kind, dst_kind, is_anon, budget)
+                want = _reference_sweep(
+                    ref.policy, node_r, src_kind, dst_kind, is_anon, budget
+                )
+                assert got == want, (kp.name, src_kind, is_anon)
+    assert _digest(vec) == _digest(ref)
+    assert _events(vec) == _events(ref)

@@ -12,6 +12,7 @@ from repro.mm.vmscan import (
     shrink_inactive_list,
 )
 from repro.sim.config import SimulationConfig
+from repro.trace.export import iter_events
 
 
 @pytest.fixture
@@ -292,10 +293,18 @@ def _warmed_machine():
     process.mmap_anon(0, 500)
     for vpage in range(500):
         machine.system.touch(process, vpage)
-    for vpage in range(500):
-        machine.system.touch(process, vpage)  # second touch activates
     machine.clock.advance_app(int(5e8))
     machine.drain_daemons()
+    # Unsupervised touches leave every page inactive; activate two in
+    # three so each active list is longer than the smaller budgets.
+    for node in machine.system.nodes.values():
+        inactive = node.lruvec.list_for(ListKind.INACTIVE, True)
+        active = node.lruvec.list_for(ListKind.ACTIVE, True)
+        for i, page in enumerate(list(inactive)):
+            if i % 3:
+                inactive.remove(page)
+                page.set(PageFlags.ACTIVE)
+                active.add_head(page)
     # Deterministic perturbation: mixed accessed bits and REFERENCED
     # flags so the scan exercises all four classification outcomes.
     store = machine.system.pagestore
@@ -329,6 +338,8 @@ def test_vector_deactivate_bit_identical_to_scalar(budget):
     vec = _warmed_machine()
     ref = _warmed_machine()
     assert _digest(vec) == _digest(ref)  # identical starting states
+    vec.enable_tracing()
+    ref.enable_tracing()
 
     for node_id in list(vec.system.nodes):
         for is_anon in (True, False):
@@ -336,7 +347,7 @@ def test_vector_deactivate_bit_identical_to_scalar(budget):
             node_r = ref.system.nodes[node_id]
             if not len(node_v.lruvec.list_for(ListKind.ACTIVE, is_anon)):
                 continue
-            # Vector arm: the public forced entry (no trace/hook/weights).
+            # Vector arm: the public forced entry (no hook or weights).
             rv = deactivate_excess_active(
                 vec.system, node_v, is_anon, budget, force=True
             )
@@ -351,3 +362,8 @@ def test_vector_deactivate_bit_identical_to_scalar(budget):
                 rr.scanned, rr.deactivated, rr.referenced
             )
     assert _digest(vec) == _digest(ref)
+    events = [
+        [(e.name, e.node_id, e.pfn, e.fields) for e in iter_events(m.system.trace)]
+        for m in (vec, ref)
+    ]
+    assert events[0] == events[1] and events[0]

@@ -18,7 +18,7 @@ from repro.sweep import (
     run_remote_sweep,
     run_sweep,
 )
-from repro.sweep.pool import _kill
+from repro.sweep.pool import _kill, _worker_main
 
 
 def _cooperative(path):
@@ -46,6 +46,18 @@ def test_kill_lets_sigterm_cleanup_run(tmp_path):
     _kill(proc, grace_s=2.0)
     assert not proc.is_alive()
     assert os.path.exists(witness)
+
+
+def test_worker_exits_when_its_forker_died_before_it_started():
+    """A worker whose parent was killed while it was still starting up is
+    already re-parented when it first looks: it must still notice and
+    exit instead of idling forever on a pipe it holds both ends of."""
+    ours, theirs = mp.Pipe()
+    gone = os.getppid() + 1  # any pid other than the actual parent
+    start = time.monotonic()
+    _worker_main((), theirs, gone)
+    assert time.monotonic() - start < 5.0
+    assert not ours.poll(0.0)  # exited without a result
 
 
 def test_kill_escalates_on_sigterm_deaf_process():
