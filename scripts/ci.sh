@@ -56,6 +56,10 @@ assert got == recorded["autonuma"], "SoA array driver diverged from baseline"
 print("SoA array driver is bit-identical to the recorded autonuma baseline")
 PYEOF
 
+echo "== Fig 6 gate (the regenerated table must match the recorded one) =="
+python -m repro experiment fig6 | diff tests/data/fig6_table.txt -
+echo "Fig 6 table matches tests/data/fig6_table.txt"
+
 echo "== bench guard (batched touch must not regress below the floor) =="
 python - "$BENCH_TMP/BENCH_perf.json" <<'PYEOF'
 import json
@@ -71,6 +75,11 @@ FLOOR = 1_455_757
 # above the scalar loop, so tripping it means the vector guard stopped
 # taking the fast path.
 DEACTIVATE_FLOOR = 300_000
+
+# Fig 6's pr+tc on the array driver measures ~260k simulated accesses/s
+# at smoke size (the batch=False scalar oracle: ~60k); the floor sits 3x
+# under it, so tripping it means the kernels fell off the array driver.
+GAPBS_FLOOR = 85_000
 
 bench = json.load(open(sys.argv[1]))
 touch = bench["touch"]
@@ -91,6 +100,17 @@ assert drate >= DEACTIVATE_FLOOR, (
 print(f"vector deactivate {drate:,.0f} pages/s >= floor {DEACTIVATE_FLOOR:,}"
       f" pages/s (scalar {deact['scalar_pages_per_sec']:,.0f},"
       f" speedup {deact['speedup']}x)")
+
+gapbs = bench["gapbs"]
+assert gapbs["identical"] is True, f"GAPBS array path diverged from the oracle: {gapbs}"
+grate = gapbs["accesses_per_sec"]
+assert grate >= GAPBS_FLOOR, (
+    f"GAPBS end to end regressed: {grate:,.0f} accesses/s"
+    f" < floor {GAPBS_FLOOR:,} accesses/s"
+)
+print(f"GAPBS pr+tc {grate:,.0f} accesses/s >= floor {GAPBS_FLOOR:,} accesses/s"
+      f" (oracle {gapbs['oracle_accesses_per_sec']:,.0f}, speedup"
+      f" {gapbs['speedup']}x), identical=True")
 
 journal = bench["journal"]
 assert journal["identical"] is True, f"journal-armed sweep diverged: {journal}"

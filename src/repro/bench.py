@@ -40,6 +40,12 @@ benchmarks, written to ``BENCH_perf.json``:
   versus the page-at-a-time reference loop on identical list states.
   Reports pages/sec for both, the speedup, and an ``identical`` flag
   asserting both arms made the same scan decisions page for page.
+* ``gapbs`` — Fig 6's ``pr`` and ``tc`` kernels under ``multiclock`` at
+  the figure's sizing, end to end: the kernels' column streams through
+  the array driver (what ``repro experiment fig6`` runs) versus the
+  ``run_workload(batch=False)`` scalar oracle.  Reports wall time and
+  simulated accesses per host second for both, the speedup, and an
+  ``identical`` flag asserting both produced the same results.
 * ``journal`` — the control-plane span journal's cost: the same local
   pool sweep with the journal off versus armed.  Reports both wall
   times, the overhead ratio, the journal's event count, and an
@@ -70,6 +76,7 @@ __all__ = [
     "bench_kpromoted",
     "bench_deactivate",
     "bench_ycsb_a",
+    "bench_gapbs",
     "bench_trace",
     "bench_sweep",
     "bench_remote",
@@ -352,6 +359,51 @@ def bench_ycsb_a(
     }
 
 
+def bench_gapbs(
+    *, scale_exp: int = 12, trials: int = 3, repeats: int = 3
+) -> dict[str, Any]:
+    """Fig 6's ``pr`` and ``tc`` on the array driver vs the scalar oracle.
+
+    Each arm runs both kernels' Fig 6 cells (graph load, then the trials)
+    under ``multiclock``; the array arm is the best of ``repeats``, the
+    oracle -- one :meth:`Machine.touch` per access over the derived
+    object stream -- runs once.
+    """
+    from repro.experiments.fig6_gapbs import run_kernel
+    from repro.workloads.gapbs import Graph
+
+    graph = Graph.rmat(scale=scale_exp, edge_factor=10, seed=7)
+    kernels = ("pr", "tc")
+
+    def run(batch: bool) -> tuple[float, list[dict]]:
+        start = time.perf_counter()
+        results = [
+            result.to_dict()
+            for name in kernels
+            for result in run_kernel(graph, name, "multiclock", trials=trials, batch=batch)
+        ]
+        return time.perf_counter() - start, results
+
+    array_best = float("inf")
+    for _ in range(max(1, repeats)):
+        wall, array_results = run(True)
+        array_best = min(array_best, wall)
+    oracle_wall, oracle_results = run(False)
+    accesses = sum(result["accesses"] for result in array_results)
+    return {
+        "kernels": list(kernels),
+        "scale_exp": scale_exp,
+        "trials": trials,
+        "accesses": accesses,
+        "wall_seconds": round(array_best, 3),
+        "accesses_per_sec": round(accesses / array_best),
+        "oracle_wall_seconds": round(oracle_wall, 3),
+        "oracle_accesses_per_sec": round(accesses / oracle_wall),
+        "speedup": round(oracle_wall / array_best, 2),
+        "identical": array_results == oracle_results,
+    }
+
+
 def bench_trace(
     ops: int = 100_000, *, pages: int = 4000, repeats: int = 3, seed: int = 42
 ) -> dict[str, Any]:
@@ -465,11 +517,12 @@ def bench_sweep(
     a warm-cache re-run.
 
     The sequential arm is the naive grid loop: each cell builds its own
-    workload and drives the per-access object stream, exactly what a
-    plain ``for cell in grid`` runner costs.  The pool arm runs the same
-    declarative cells cold (empty result cache) through
-    :func:`~repro.sweep.scheduler.run_sweep`: persistent workers, one shared
-    numeric stream per distinct workload, array-replay per cell.
+    workload and runs it with :func:`~repro.run.run_workload` (the
+    array driver, for this numeric stream), exactly what a plain ``for
+    cell in grid`` runner costs.  The pool arm runs the same declarative
+    cells cold (empty result cache) through
+    :func:`~repro.sweep.scheduler.run_sweep`: persistent workers, one
+    shared numeric stream per distinct workload, array-replay per cell.
     ``identical`` asserts the pool's merged payloads equal the
     sequential results field for field — sharing construction must
     change wall time, never results.  The third timing,
@@ -709,12 +762,15 @@ def run_suite(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
         touch = bench_touch(60_000, pages=2000, repeats=max(1, min(repeats, 2)))
         kpromoted = bench_kpromoted(pages=1000, warm_ops=10_000, runs=30)
         ycsb = bench_ycsb_a(n_records=2_000, ops=5_000)
+        gapbs = bench_gapbs(scale_exp=10, trials=1, repeats=max(1, min(repeats, 2)))
         trace = bench_trace(30_000, pages=2000, repeats=max(1, min(repeats, 2)))
-        # All four default policies, and cells big enough (~70ms each)
-        # that the pool's fork-and-pipe overhead stops being the same
-        # order as the cells themselves: at ops=8_000 the comparison on
-        # a busy single-core host was a coin flip (0.94x-1.45x measured
-        # over repeated runs); at this sizing it holds 1.3x+.
+        # All four default policies, and cells big enough that the
+        # pool's fork-and-pipe overhead stops being the same order as
+        # the cells themselves: at ops=8_000 the comparison on a busy
+        # single-core host was a coin flip (0.94x-1.45x measured over
+        # repeated runs).  Since the sequential loop's run_workload also
+        # takes the array driver (cells ~35ms each), the 2-vCPU host
+        # measures 1.2x-1.7x at this sizing.
         sweep = bench_sweep(pages=1500, ops=20_000)
         remote = bench_remote(pages=400, ops=4_000)
         journal = bench_journal(pages=400, ops=4_000)
@@ -724,6 +780,7 @@ def run_suite(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
         touch = bench_touch(repeats=repeats)
         kpromoted = bench_kpromoted()
         ycsb = bench_ycsb_a()
+        gapbs = bench_gapbs(repeats=repeats)
         trace = bench_trace(repeats=repeats)
         sweep = bench_sweep()
         remote = bench_remote()
@@ -739,6 +796,7 @@ def run_suite(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
         "touch": touch,
         "kpromoted": kpromoted,
         "ycsb_a": ycsb,
+        "gapbs": gapbs,
         "trace": trace,
         "sweep": sweep,
         "remote": remote,
@@ -771,6 +829,16 @@ def render(results: dict[str, Any]) -> str:
         f"  ({ycsb['accesses_per_wall_sec']:,} accesses/s host,"
         f" {ycsb['virtual_throughput_ops']:,} ops/s virtual)",
     ]
+    gapbs = results.get("gapbs")
+    if gapbs is not None:
+        lines.append(
+            f"gapbs      {'+'.join(gapbs['kernels'])} scale {gapbs['scale_exp']}"
+            f" x{gapbs['trials']} trials  array {gapbs['wall_seconds']}s"
+            f" ({gapbs['accesses_per_sec']:,} accesses/s)"
+            f"  oracle {gapbs['oracle_wall_seconds']}s"
+            f"  speedup {gapbs['speedup']:.2f}x"
+            f"  identical={gapbs['identical']}"
+        )
     trace = results.get("trace")
     if trace is not None:
         lines.append(

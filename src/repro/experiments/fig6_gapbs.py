@@ -15,7 +15,7 @@ from repro.machine import Machine
 from repro.run import RunResult, run_workload
 from repro.workloads.gapbs import KERNELS, Graph
 
-__all__ = ["run_fig6", "render_fig6", "GAPBS_KERNEL_ORDER"]
+__all__ = ["run_fig6", "run_kernel", "render_fig6", "GAPBS_KERNEL_ORDER"]
 
 GAPBS_KERNEL_ORDER = ("bfs", "sssp", "pr", "cc", "bc", "tc")
 
@@ -43,21 +43,37 @@ def run_fig6(
     graph = Graph.rmat(scale=scale_exp, edge_factor=edge_factor, seed=7)
     comparisons = {}
     for kernel_name in kernels:
-        results: dict[str, RunResult] = {}
-        for policy in policies:
-            kernel = KERNELS[kernel_name](graph, trials=trials, seed=3)
-            dram = max(24, int(kernel.footprint_pages() * 0.4))
-            config = scaled_config(
-                dram_pages=dram,
-                pm_pages=kernel.footprint_pages() * 4,
-                interval_s=interval_s,
-                scan_budget_pages=64,
-            )
-            machine = Machine(config, policy)
-            run_workload(kernel.load_workload(), config, machine=machine)
-            results[policy] = run_workload(kernel, config, machine=machine)
+        results = {
+            policy: run_kernel(
+                graph, kernel_name, policy, trials=trials, interval_s=interval_s
+            )[1]
+            for policy in policies
+        }
         comparisons[kernel_name] = normalize_exec_time(results)
     return comparisons
+
+
+def run_kernel(
+    graph: Graph,
+    kernel_name: str,
+    policy: str,
+    *,
+    trials: int = 3,
+    interval_s: float = 0.1,
+    batch: bool = True,
+) -> tuple[RunResult, RunResult]:
+    """One Fig 6 cell: the graph load, then the trials on the warm machine."""
+    kernel = KERNELS[kernel_name](graph, trials=trials, seed=3)
+    dram = max(24, int(kernel.footprint_pages() * 0.4))
+    config = scaled_config(
+        dram_pages=dram,
+        pm_pages=kernel.footprint_pages() * 4,
+        interval_s=interval_s,
+        scan_budget_pages=64,
+    )
+    machine = Machine(config, policy)
+    load = run_workload(kernel.load_workload(), config, machine=machine, batch=batch)
+    return load, run_workload(kernel, config, machine=machine, batch=batch)
 
 
 def render_fig6(comparisons: dict[str, PolicyComparison]) -> str:

@@ -11,23 +11,27 @@ stream through an inlined copy of the hot path — same semantics, same
 counters, same virtual times, but an order of magnitude less Python
 call overhead.  :meth:`Machine.touch_batch_array` goes further for
 numeric single-process streams: when the stream hits the common case
-(resident pages, no poisons, one unsupervised region, default policy
+(resident pages, no poisons, unsupervised regions, default policy
 callbacks) whole access vectors are resolved and charged with a handful
 of numpy gathers against the struct-of-arrays page store, dropping to
 the scalar loop only around faults, daemon deadlines and policy
-overrides.  ``tests/perf/test_touch_batch_equivalence.py`` holds all
-paths bit-identical.
+overrides.  Its CPU-cache filter stage decides which of a stream's
+absorbable candidate touches reach memory at all
+(:class:`~repro.mm.hardware.CpuCache`).
+``tests/perf/test_touch_batch_equivalence.py`` and
+``tests/workloads/test_gapbs_fastpath.py`` hold all paths bit-identical.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.mm.address_space import Process
 from repro.mm.flags import PageFlags
-from repro.mm.hardware import MemoryTier
+from repro.mm.hardware import ABSORB_HEAD, ABSORB_TAIL, CpuCache, MemoryTier
 from repro.mm.system import MemorySystem
 from repro.policies.base import TieringPolicy, create_policy
 from repro.sim.config import SimulationConfig
@@ -37,6 +41,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.base import PageAccess
 
 __all__ = ["Machine"]
+
+
+def _in_unsupervised_regions(process: Process, vpages: np.ndarray) -> bool:
+    """Whether every vpage lies in one of ``process``'s unsupervised regions."""
+    regions = process.regions
+    starts = np.array([r.start_vpage for r in regions], dtype=np.int64)
+    idx = np.searchsorted(starts, vpages, side="right") - 1
+    if not len(regions) or idx.min() < 0:
+        return False
+    ends = np.array([r.end_vpage for r in regions], dtype=np.int64)
+    supervised = np.array([r.supervised for r in regions], dtype=bool)
+    return bool((vpages < ends[idx]).all()) and not supervised[idx].any()
 
 
 class Machine:
@@ -407,30 +423,42 @@ class Machine:
     def touch_batch_array(
         self,
         process: Process,
-        batches: "Iterable[tuple[Iterable[int], Iterable[bool]]]",
+        batches: "Iterable[tuple]",
         *,
         lines: int = 1,
+        cache: CpuCache | None = None,
     ) -> tuple[int, int]:
         """Drive a single-process numeric access stream through the hot path.
 
-        ``batches`` yields ``(vpages, writes)`` pairs (numpy arrays or
-        sequences); every access marks an operation boundary and touches
-        ``lines`` cache lines — the shape of every synthetic workload
-        stream.  Equivalent to :meth:`touch_batch` over the
-        :class:`~repro.workloads.base.PageAccess` objects those batches
-        would emit — faults, daemon wakeups, counters and clock advance
-        identically — but without materialising any access objects.
+        ``batches`` yields either ``(vpages, writes)`` pairs -- every access
+        ``lines`` cache lines wide and an operation boundary, the shape of
+        every synthetic workload stream -- or ``(vpages, writes, lines,
+        boundary, absorb)`` column batches of *candidate* touches, the shape
+        of the GAPBS kernels' streams.  Returns ``(accesses, operations)``.
+        Equivalent to :meth:`touch` over
+        :func:`~repro.workloads.base.page_accesses` of the same batches --
+        faults, daemon wakeups, counters and clock advance identically --
+        but without materialising any access objects.
 
-        When the common case holds — every page of the batch resident in
-        a dense page table with no poisoned PTEs, one unsupervised region
-        covering the batch, and a policy keeping the default
-        ``charge_access``/``on_access`` — whole batches are processed as
+        Column batches pass a CPU-cache filter stage first: an
+        :data:`~repro.mm.hardware.ABSORB_HEAD` row whose page has a
+        translation right now draws the next uniform from ``cache``, and
+        below its hit rate the touch -- with its ``ABSORB_TAIL`` rows -- is
+        absorbed: no access, no time, no counter.  A cold page never draws,
+        and a run cut short by a fault or a daemon deadline consumes only
+        the draws of its prefix.  Boundary rows must not be absorbable.
+
+        When the common case holds -- every page of the batch resident in
+        a dense page table with no poisoned PTEs, every page in an
+        unsupervised region, and a policy keeping the default
+        ``charge_access``/``on_access`` -- whole batches are processed as
         column sweeps: one ``v2p`` gather resolves the translations, the
-        accessed/dirty bits land with fancy-index stores, the latency
+        cache filter compares a block of draws against the hit rate, the
+        accessed/dirty bits land with fancy-index stores, and the latency
         charge is a vectorized table gather with a ``cumsum`` locating
         the exact access on which a daemon deadline fires.  Any access
-        that breaks the pattern (fault, poison, deadline, region edge)
-        detours through the scalar path, so the result stays
+        that breaks the pattern (fault, poison, deadline, supervised
+        region) detours through the scalar path, so the result stays
         bit-identical to the per-access drivers.
         """
         system = self.system
@@ -479,7 +507,7 @@ class Machine:
         c_pm = stats.counter("accesses.pm")
         c_remote = stats.counter("accesses.remote")
         dirty_bit = int(PageFlags.DIRTY)
-        n_accesses = 0
+        n_accesses = n_operations = n_absorbed = 0
         now = clock._now_ns
         app_accum = 0
         acc_total = acc_dram = acc_pm = acc_remote = 0
@@ -492,36 +520,53 @@ class Machine:
         reg_start = reg_end = 0  # empty range: first access misses the cache
         reg_supervised = False
         vector_ok = inline_charge and skip_on_access
-        for vpages, writes in batches:
+        # The cache filter stage.  `absorbed` is the fate of the latest
+        # absorbable touch; its ABSORB_TAIL rows share it.
+        if cache is not None:
+            rate = cache.hit_rate
+            cache_hit = cache.hit
+        absorbed = False
+        for batch in batches:
+            if len(batch) == 2:
+                vpages, writes = batch
+                widths = codes = None
+            else:
+                vpages, writes, widths, boundary, codes = batch
             vp = np.asarray(vpages, dtype=np.int64)
             wr = np.asarray(writes, dtype=bool)
             n = len(vp)
             if n == 0:
                 continue
             n_accesses += n
+            if widths is None:
+                n_operations += n
+            else:
+                widths = np.asarray(widths, dtype=np.int64)
+                n_operations += int(np.count_nonzero(boundary))
+                codes = np.asarray(codes)
+                if cache is None or not codes.any():
+                    codes = None
             pos = 0
             vectorable = vector_ok
             if vectorable:
-                # The whole batch must sit in one unsupervised region;
-                # otherwise (or if the range is simply unmapped — the
-                # scalar path owns raising that SIGSEGV at the exact
-                # offending access) fall through to the scalar loop.
                 bmin = int(vp.min())
                 bmax = int(vp.max())
-                if not (reg_start <= bmin and bmax < reg_end):
+                if reg_start <= bmin and bmax < reg_end:
+                    vectorable = not reg_supervised
+                else:
                     try:
                         region = process.region_for(bmin)
                     except LookupError:
-                        vectorable = False
+                        region = None
+                    if region is not None and bmax < region.end_vpage:
+                        reg_start = region.start_vpage
+                        reg_end = region.end_vpage
+                        reg_supervised = region.supervised
+                        vectorable = not reg_supervised
                     else:
-                        if bmax < region.end_vpage:
-                            reg_start = region.start_vpage
-                            reg_end = region.end_vpage
-                            reg_supervised = region.supervised
-                        else:
-                            vectorable = False
-                if vectorable and reg_supervised:
-                    vectorable = False
+                        # Several regions, or a hole -- which the scalar
+                        # path reports as SIGSEGV at the offending access.
+                        vectorable = _in_unsupervised_regions(process, vp)
             # Translations are gathered once per batch and reused; the
             # cache is only dropped when the page table's unmap
             # generation moves (a new mapping can never turn a cached
@@ -565,6 +610,16 @@ class Machine:
                 nxt = int(miss_pos[mi]) if mi < n_miss else n
                 limit = nxt - pos
                 if limit == 0:
+                    # No translation: a cold head never draws, and a tail
+                    # of an absorbed touch is skipped without faulting.
+                    if codes is not None:
+                        code = codes[pos]
+                        if code == ABSORB_HEAD:
+                            absorbed = False
+                        elif code == ABSORB_TAIL and absorbed:
+                            n_absorbed += 1
+                            pos += 1
+                            continue
                     # Fault on the next access: scalar excursion, then
                     # re-hoist anything an allocation may have replaced.
                     clock._now_ns = now
@@ -575,7 +630,10 @@ class Machine:
                     c_remote.n += acc_remote
                     app_accum = acc_total = acc_dram = acc_pm = acc_remote = 0
                     slow_touch(
-                        process, int(vp[pos]), is_write=bool(wr[pos]), lines=lines
+                        process,
+                        int(vp[pos]),
+                        is_write=bool(wr[pos]),
+                        lines=lines if widths is None else int(widths[pos]),
                     )
                     now = clock._now_ns
                     if next_deadline <= now:
@@ -603,10 +661,19 @@ class Machine:
                     # almost entirely such runs.
                     end = pos + limit
                     while pos < end:
+                        if codes is not None:
+                            code = codes[pos]
+                            if code:
+                                if code == ABSORB_HEAD:
+                                    absorbed = cache_hit()
+                                if absorbed:
+                                    n_absorbed += 1
+                                    pos += 1
+                                    continue
                         pfn = int(pfns_all[pos])
                         is_write = bool(wr[pos])
                         nid = int(col_node[pfn])
-                        access_ns = lines * (
+                        access_ns = (lines if widths is None else int(widths[pos])) * (
                             node_write_ns[nid] if is_write else node_read_ns[nid]
                         )
                         if multi_socket and node_socket[nid] != home_socket:
@@ -665,11 +732,47 @@ class Machine:
                                 pfns_all = None
                                 break
                     continue
-                seg = pfns_all[pos : pos + limit]
-                w = wr[pos : pos + limit]
+                # A resident run.  The cache filter first: every head in
+                # it is warm, so each draws one uniform, in order, from
+                # the current block -- the run stops short of the first
+                # head the block cannot serve.  Every absorbable row
+                # shares the fate of the latest head at or before it;
+                # fate[0] is the latest head's before this run.
+                drop = None
+                if codes is not None:
+                    run_codes = codes[pos : pos + limit]
+                    heads = np.flatnonzero(run_codes == ABSORB_HEAD)
+                    fate = np.full(1, absorbed)
+                    if len(heads):
+                        draws = cache.window()
+                        if len(heads) > len(draws):
+                            limit = int(heads[len(draws)])
+                            heads = heads[: len(draws)]
+                            run_codes = run_codes[:limit]
+                        fate = np.concatenate((fate, draws[: len(heads)] < rate))
+                    drop = (run_codes != 0) & fate[np.cumsum(run_codes == ABSORB_HEAD)]
+                if drop is None or not drop.any():
+                    kept = None
+                    seg = pfns_all[pos : pos + limit]
+                    w = wr[pos : pos + limit]
+                    width = None if widths is None else widths[pos : pos + limit]
+                else:
+                    kept = np.flatnonzero(~drop)
+                    if len(kept) == 0:
+                        cache.consume(len(heads))
+                        absorbed = bool(fate[-1])
+                        n_absorbed += limit
+                        pos += limit
+                        continue
+                    seg = pfns_all[pos : pos + limit][kept]
+                    w = wr[pos : pos + limit][kept]
+                    width = widths[pos : pos + limit][kept]
+                k = len(seg)
                 nid_arr = col_node[seg]
                 base = np.where(w, np_write[nid_arr], np_read[nid_arr])
-                if lines != 1:
+                if width is not None:
+                    base = base * width
+                elif lines != 1:
                     base = base * lines
                 rem = None
                 if multi_socket:
@@ -685,14 +788,20 @@ class Machine:
                     # it is charged before the daemons run, exactly as
                     # the scalar loop checks after each access.
                     j = int(np.searchsorted(cum, next_deadline - now, side="left"))
-                    limit = j + 1
-                    seg = seg[:limit]
-                    w = w[:limit]
-                    nid_arr = nid_arr[:limit]
-                    cum = cum[:limit]
+                    k = j + 1
+                    limit = k if kept is None else int(kept[j]) + 1
+                    seg = seg[:k]
+                    w = w[:k]
+                    nid_arr = nid_arr[:k]
+                    cum = cum[:k]
                     if rem is not None:
-                        rem = rem[:limit]
+                        rem = rem[:k]
                     total = int(cum[-1])
+                if drop is not None:
+                    used = int(np.searchsorted(heads, limit))
+                    cache.consume(used)
+                    absorbed = bool(fate[used])
+                    n_absorbed += limit - k
                 # Hardware bit updates: duplicates in `seg` are fine —
                 # both stores are idempotent.
                 col_acc[seg] = True
@@ -700,10 +809,10 @@ class Machine:
                     wseg = seg[w]
                     col_dirty[wseg] = True
                     col_flags[wseg] |= dirty_bit
-                acc_total += limit
+                acc_total += k
                 nd = int(np.count_nonzero(np_dram[nid_arr]))
                 acc_dram += nd
-                acc_pm += limit - nd
+                acc_pm += k - nd
                 if rem is not None:
                     acc_remote += int(np.count_nonzero(rem))
                 if system._awaiting_count:
@@ -753,8 +862,20 @@ class Machine:
                         pfns_all = None
             if pos >= n:
                 continue
-            # Scalar remainder: identical to touch_batch's inlined body.
-            for vpage, is_write in zip(vp[pos:].tolist(), wr[pos:].tolist()):
+            # Scalar remainder: identical to touch_batch's inlined body,
+            # behind the cache filter's scalar rule.
+            for vpage, is_write, width, code in zip(
+                vp[pos:].tolist(),
+                wr[pos:].tolist(),
+                repeat(lines) if widths is None else widths[pos:].tolist(),
+                repeat(0) if codes is None else codes[pos:].tolist(),
+            ):
+                if code:
+                    if code == ABSORB_HEAD:
+                        absorbed = vpage in pt_dict and cache_hit()
+                    if absorbed:
+                        n_absorbed += 1
+                        continue
                 try:
                     pte = pt_dict[vpage]
                 except KeyError:
@@ -767,7 +888,7 @@ class Machine:
                     c_pm.n += acc_pm
                     c_remote.n += acc_remote
                     app_accum = acc_total = acc_dram = acc_pm = acc_remote = 0
-                    slow_touch(process, vpage, is_write=is_write, lines=lines)
+                    slow_touch(process, vpage, is_write=is_write, lines=width)
                     now = clock._now_ns
                     if next_deadline <= now:
                         run_due()
@@ -797,14 +918,14 @@ class Machine:
                     col_flags[pfn] |= dirty_bit
                 nid = col_node[pfn]
                 if inline_charge:
-                    access_ns = lines * (
+                    access_ns = width * (
                         node_write_ns[nid] if is_write else node_read_ns[nid]
                     )
                 else:
                     clock._now_ns = now
                     clock._app_ns += app_accum
                     app_accum = 0
-                    access_ns = charge_access(page, is_write, lines)
+                    access_ns = charge_access(page, is_write, width)
                     now = clock._now_ns
                 if multi_socket and node_socket[nid] != home_socket:
                     access_ns = int(access_ns * remote_mult)
@@ -866,7 +987,7 @@ class Machine:
         c_dram.n += acc_dram
         c_pm.n += acc_pm
         c_remote.n += acc_remote
-        return n_accesses, n_accesses
+        return n_accesses - n_absorbed, n_operations
 
     def drain_daemons(self) -> int:
         """Explicitly fire any overdue daemons (useful between phases)."""

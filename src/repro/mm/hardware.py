@@ -7,15 +7,26 @@ from :class:`~repro.sim.config.LatencyConfig`; Optane's read/write
 asymmetry (reads slower than writes at the DIMM interface, because writes
 land in the controller buffer) is preserved because the paper's
 Discussion section calls it out as relevant to placement decisions.
+The CPU cache hierarchy in front of both tiers is a statistical filter
+(:class:`CpuCache`), not a simulated cache.
 """
 
 from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from repro.sim.config import LatencyConfig
 
-__all__ = ["MemoryTier", "HardwareModel"]
+__all__ = ["MemoryTier", "HardwareModel", "CpuCache", "ABSORB_HEAD", "ABSORB_TAIL"]
+
+#: ``absorb`` column codes of a numeric access batch
+#: (:meth:`~repro.machine.Machine.touch_batch_array`): the first page of
+#: an absorbable touch, and a further page of that touch, which shares
+#: its fate.  Zero marks a touch that always reaches memory.
+ABSORB_HEAD = 1
+ABSORB_TAIL = 2
 
 
 class MemoryTier(enum.IntEnum):
@@ -105,3 +116,62 @@ class HardwareModel:
     def hint_fault_ns(self) -> int:
         """Cost of one software hint page fault (AutoTiering/AutoNUMA)."""
         return self._latency.hint_fault_ns
+
+
+class CpuCache:
+    """The CPU cache hierarchy as a statistical filter on absorbable touches.
+
+    Not simulated line by line: a touch a workload marks absorbable (a
+    small, hot, provably cache-resident structure) is served by the cache
+    with probability ``hit_rate`` -- but only when its first page has a
+    translation right now (poisoned PTEs included); a cold page always
+    reaches memory and draws nothing.  An absorbed touch is no access at
+    all: it charges no time and is counted nowhere.
+
+    Uniforms are fetched from ``rng`` in blocks of :attr:`BLOCK` and
+    consumed strictly in order, one per decision; a block's leftover
+    draws carry over to later batches, trials and phases.  ``rng.random(n)``
+    yields the same values as ``n`` scalar draws, so the decision sequence
+    is independent of how the draws are batched.
+    """
+
+    BLOCK = 8192
+
+    def __init__(self, rng: np.random.Generator, hit_rate: float) -> None:
+        if not 0.0 <= hit_rate < 1.0:
+            raise ValueError("hit_rate must lie in [0, 1)")
+        self.rng = rng
+        self.hit_rate = hit_rate
+        self._block = np.empty(0)
+        self._draws: list[float] = []  # the block as floats, for hit()
+        self._pos = 0
+
+    def window(self) -> np.ndarray:
+        """The unread draws of the current block (a fresh block once spent)."""
+        if self._pos == len(self._block):
+            self._block = self.rng.random(self.BLOCK)
+            self._draws = self._block.tolist()
+            self._pos = 0
+        return self._block[self._pos :]
+
+    def consume(self, k: int) -> None:
+        """Mark the first ``k`` draws of :meth:`window` as used."""
+        self._pos += k
+
+    def hit(self) -> bool:
+        """Draw the next uniform: does the cache serve a warm touch?"""
+        pos = self._pos
+        if pos == len(self._draws):
+            self.window()
+            pos = 0
+        self._pos = pos + 1
+        return self._draws[pos] < self.hit_rate
+
+    def absorbs(self, page_table, vpage: int) -> bool:
+        """The scalar rule: is a touch whose first page is ``vpage`` absorbed?"""
+        return vpage in page_table and self.hit()
+
+    def state(self) -> tuple[dict, list[float]]:
+        """Generator state plus the unread draws -- equal iff two caches
+        will make the same decisions from here on."""
+        return self.rng.bit_generator.state, self._block[self._pos :].tolist()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.machine import Machine
 from repro.sim.config import SimulationConfig
 from repro.sim.vclock import NANOS_PER_SECOND
-from repro.workloads.base import Workload
+from repro.workloads.base import NumericWorkload, Workload
 
 __all__ = ["RunResult", "run_workload", "run_numeric_stream"]
 
@@ -149,11 +149,12 @@ def run_workload(
     back to back on warm state (the YCSB prescribed execution sequence);
     otherwise a fresh machine is built from ``config``.
 
-    The access stream is driven through :meth:`Machine.touch_batch` by
-    default; ``batch=False`` selects the original one-call-per-access
-    loop.  The two drivers produce identical results (the perf tests
-    assert it) — the per-access loop exists as the baseline the
-    ``repro bench`` touch microbenchmark compares against.
+    By default a :class:`~repro.workloads.base.NumericWorkload` is
+    driven through :meth:`Machine.touch_batch_array` and any other
+    workload through :meth:`Machine.touch_batch`; ``batch=False``
+    selects the original one-call-per-access loop over
+    ``workload.accesses()``, the scalar oracle both fast drivers are
+    tested against.  All three produce identical results.
     """
     if machine is None:
         machine = Machine(config, policy)
@@ -166,7 +167,15 @@ def run_workload(
     # from operations truthiness, and a workload may declare that it
     # marks boundaries: a marked phase that happens to complete zero
     # operations must not be mislabelled as a fallback run.
-    if batch:
+    if batch and type(workload).accesses is NumericWorkload.accesses:
+        accesses, operations = machine.touch_batch_array(
+            workload.process,  # type: ignore[attr-defined]
+            workload.numeric_batches(),  # type: ignore[attr-defined]
+            lines=workload.lines,  # type: ignore[attr-defined]
+            cache=workload.cpu_cache,  # type: ignore[attr-defined]
+        )
+        saw_op_boundary = operations > 0
+    elif batch:
         accesses, operations = machine.touch_batch(workload.accesses())
         saw_op_boundary = operations > 0
     else:

@@ -1,4 +1,11 @@
-"""GAPBS-style graph analytics workloads: the six evaluation kernels."""
+"""GAPBS-style graph analytics workloads: the six evaluation kernels.
+
+Each kernel computes its control flow per iteration or BFS level with
+numpy and emits numeric batches of candidate page touches
+(:meth:`~repro.workloads.gapbs.base.GraphKernelWorkload.numeric_batches`)
+for :meth:`~repro.machine.Machine.touch_batch_array`, whose CPU-cache
+filter stage decides which offset and property touches reach memory.
+"""
 
 from repro.workloads.gapbs.base import GraphKernelWorkload
 from repro.workloads.gapbs.bc import BetweennessCentralityWorkload

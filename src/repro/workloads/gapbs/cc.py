@@ -9,8 +9,15 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.workloads.base import PageAccess
-from repro.workloads.gapbs.base import GraphKernelWorkload
+import numpy as np
+
+from repro.workloads.gapbs.base import (
+    NEIGHBORS,
+    OFFSETS,
+    GraphKernelWorkload,
+    interleave,
+    prop,
+)
 from repro.workloads.gapbs.graph import Graph
 
 __all__ = ["ConnectedComponentsWorkload"]
@@ -31,24 +38,31 @@ class ConnectedComponentsWorkload(GraphKernelWorkload):
     def n_property_arrays(self) -> int:
         return 1  # component id
 
-    def run_trial(self, trial: int) -> Iterator[PageAccess]:
+    def trial_batches(self, trial: int) -> Iterator[tuple[np.ndarray, ...]]:
         graph = self.graph
+        every = np.arange(graph.n)
+        degree = graph.degrees()
+        adjacency = [a.tolist() for a in np.split(graph.neighbors, graph.offsets[1:-1])]
         comp = list(range(graph.n))
         for __round in range(self.max_rounds):
-            changed = False
-            for u in range(graph.n):
-                yield from self.touch_offsets(u)
-                yield from self.touch_prop(u)
-                best = comp[u]
-                yield from self.touch_neighbors(u)
-                for v in graph.neigh(u).tolist():
-                    yield from self.touch_prop(v)
-                    if comp[v] < best:
-                        best = comp[v]
+            # The sweep updates labels in place, so a vertex already sees
+            # this round's labels of the vertices before it.
+            changed = np.zeros(graph.n, dtype=bool)
+            for u, neighbors in enumerate(adjacency):
+                best = min(map(comp.__getitem__, neighbors), default=comp[u])
                 if best < comp[u]:
                     comp[u] = best
-                    yield from self.touch_prop(u, is_write=True)
-                    changed = True
-            if not changed:
+                    changed[u] = True
+            # Per vertex u: read offsets[u] and comp[u], stream the
+            # neighbors reading each comp[v], write comp[u] if it moved.
+            yield self.touch_rows(
+                *interleave(
+                    degree,
+                    pre=[(OFFSETS, every), (prop(0), every), (NEIGHBORS, every)],
+                    edge=[(prop(0), graph.neighbors)],
+                    post=[(prop(0, write=True), every, changed)],
+                )
+            )
+            if not changed.any():
                 break
         self.final_components = comp

@@ -62,6 +62,18 @@ class Graph:
     def neigh(self, v: int) -> np.ndarray:
         return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
 
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def edges_of(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, neighbors)``: the concatenated neighbor lists of
+        ``vertices``, in order."""
+        lo = self.offsets[vertices]
+        counts = self.offsets[vertices + 1] - lo
+        first = np.cumsum(counts) - counts
+        index = np.repeat(lo - first, counts) + np.arange(int(counts.sum()))
+        return counts, self.neighbors[index].astype(np.int64)
+
     # -- generators -------------------------------------------------------------
 
     @classmethod

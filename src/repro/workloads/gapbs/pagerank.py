@@ -10,8 +10,15 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.workloads.base import PageAccess
-from repro.workloads.gapbs.base import GraphKernelWorkload
+import numpy as np
+
+from repro.workloads.gapbs.base import (
+    NEIGHBORS,
+    OFFSETS,
+    GraphKernelWorkload,
+    interleave,
+    prop,
+)
 from repro.workloads.gapbs.graph import Graph
 
 __all__ = ["PageRankWorkload"]
@@ -30,27 +37,33 @@ class PageRankWorkload(GraphKernelWorkload):
             raise ValueError("iterations must be positive")
         self.iterations = iterations
         self.final_ranks: list[float] | None = None
+        self._rows: tuple[np.ndarray, ...] | None = None
 
     def n_property_arrays(self) -> int:
         return 2  # rank, next_rank
 
-    def run_trial(self, trial: int) -> Iterator[PageAccess]:
+    def trial_batches(self, trial: int) -> Iterator[tuple[np.ndarray, ...]]:
         graph = self.graph
         n = graph.n
-        rank = [1.0 / n] * n
+        degree = graph.degrees()
+        if self._rows is None:
+            # Every iteration touches the same pages in the same order:
+            # per vertex u, read rank[u] and offsets[u]; a vertex with
+            # edges then streams its neighbors, writing next_rank[v].
+            every = np.arange(n)
+            self._rows = self.touch_rows(
+                *interleave(
+                    degree,
+                    pre=[(prop(0), every), (OFFSETS, every), (NEIGHBORS, every, degree > 0)],
+                    edge=[(prop(1, write=True), graph.neighbors)],
+                )
+            )
+        source = np.repeat(np.arange(n), degree)
+        rank = np.full(n, 1.0 / n)
         base = (1.0 - DAMPING) / n
         for __iteration in range(self.iterations):
-            next_rank = [base] * n
-            for u in range(n):
-                yield from self.touch_prop(u, array_id=0)
-                yield from self.touch_offsets(u)
-                degree = graph.degree(u)
-                if degree == 0:
-                    continue
-                share = DAMPING * rank[u] / degree
-                yield from self.touch_neighbors(u)
-                for v in graph.neigh(u).tolist():
-                    next_rank[v] += share
-                    yield from self.touch_prop(v, array_id=1, is_write=True)
-            rank = next_rank
-        self.final_ranks = rank
+            share = np.zeros(n)
+            np.divide(DAMPING * rank, degree, out=share, where=degree > 0)
+            rank = base + np.bincount(graph.neighbors, weights=share[source], minlength=n)
+            yield self._rows
+        self.final_ranks = rank.tolist()

@@ -14,8 +14,14 @@ from typing import Iterator
 import numpy as np
 
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess
-from repro.workloads.gapbs.base import GraphKernelWorkload
+from repro.workloads.gapbs.base import (
+    NEIGHBORS,
+    OFFSETS,
+    WEIGHTS,
+    GraphKernelWorkload,
+    interleave,
+    prop,
+)
 from repro.workloads.gapbs.graph import Graph
 
 __all__ = ["SSSPWorkload"]
@@ -35,27 +41,43 @@ class SSSPWorkload(GraphKernelWorkload):
     def uses_weights(self) -> bool:
         return True
 
-    def run_trial(self, trial: int) -> Iterator[PageAccess]:
+    def trial_batches(self, trial: int) -> Iterator[tuple[np.ndarray, ...]]:
         graph = self.graph
         rng = make_rng(self.seed, f"sssp-src-{trial}")
         source = int(rng.integers(0, graph.n))
+        offsets = graph.offsets.tolist()
+        neighbors = graph.neighbors.tolist()
+        weights = self.weights.tolist()
+        # Dijkstra is sequential: record the settle order and, per
+        # scanned edge, whether the relaxation improved dist[v].
         dist = {source: 0}
-        yield from self.touch_prop(source, is_write=True)
         heap = [(0, source)]
         settled = set()
+        order = []
+        improved = []
         while heap:
             d, u = heapq.heappop(heap)
             if u in settled:
                 continue
             settled.add(u)
-            yield from self.touch_offsets(u)
-            yield from self.touch_neighbors(u)
-            yield from self.touch_weights(u)
-            lo = int(graph.offsets[u])
-            for k, v in enumerate(graph.neigh(u).tolist()):
-                nd = d + int(self.weights[lo + k])
-                yield from self.touch_prop(v)
-                if v not in dist or nd < dist[v]:
+            order.append(u)
+            for k in range(offsets[u], offsets[u + 1]):
+                v = neighbors[k]
+                nd = d + weights[k]
+                better = v not in dist or nd < dist[v]
+                improved.append(better)
+                if better:
                     dist[v] = nd
-                    yield from self.touch_prop(v, is_write=True)
                     heapq.heappush(heap, (nd, v))
+        # Per settled vertex: read offsets, neighbor and weight ranges;
+        # per edge read dist[v], and write it when the relaxation won.
+        order = np.array(order)
+        counts, targets = graph.edges_of(order)
+        yield self.touch_rows([prop(0, write=True)], [source])
+        yield self.touch_rows(
+            *interleave(
+                counts,
+                pre=[(OFFSETS, order), (NEIGHBORS, order), (WEIGHTS, order)],
+                edge=[(prop(0), targets), (prop(0, write=True), targets, np.array(improved, dtype=bool))],
+            )
+        )

@@ -16,7 +16,7 @@ import numpy as np
 from repro.machine import Machine
 from repro.mm.address_space import Process
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess, Workload
+from repro.workloads.base import NumericWorkload
 
 __all__ = [
     "ZipfWorkload",
@@ -28,10 +28,16 @@ __all__ = [
 _BATCH = 4096
 
 
-class _SingleProcessWorkload(Workload):
-    """Common setup: one process with one anonymous region."""
+class _SingleProcessWorkload(NumericWorkload):
+    """Common setup: one process with one anonymous region.
 
-    # _emit marks every access as an operation completion.
+    ``numeric_batches()`` yields ``(vpages, writes)`` arrays that are
+    deterministic in the constructor arguments alone, which is what lets
+    the sweep pool generate a stream once and replay it across many
+    cells.
+    """
+
+    # Every access of a (vpages, writes) stream completes an operation.
     marks_op_boundaries = True
 
     def __init__(
@@ -62,29 +68,6 @@ class _SingleProcessWorkload(Workload):
 
     def footprint_pages(self) -> int:
         return self.pages
-
-    def _emit(self, vpages: np.ndarray, writes: np.ndarray) -> Iterator[PageAccess]:
-        process = self.process
-        assert process is not None, "setup() must run before accesses()"
-        lines = self.lines
-        for vpage, is_write in zip(vpages.tolist(), writes.tolist()):
-            yield PageAccess(process, vpage, is_write=is_write, op_boundary=True, lines=lines)
-
-    def numeric_batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The machine-independent stream: ``(vpages, writes)`` arrays.
-
-        Deterministic in the constructor arguments alone — no process or
-        machine state — which is what lets the sweep pool generate the
-        stream once and replay it across many cells
-        (:meth:`~repro.machine.Machine.touch_batch_array`).
-        ``accesses()`` is defined as the emission of exactly these
-        batches, so the two drivers see identical reference sequences.
-        """
-        raise NotImplementedError
-
-    def accesses(self) -> Iterator[PageAccess]:
-        for vpages, writes in self.numeric_batches():
-            yield from self._emit(vpages, writes)
 
 
 class ZipfWorkload(_SingleProcessWorkload):

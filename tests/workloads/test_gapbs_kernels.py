@@ -2,20 +2,24 @@
 plus the page-touch emission contract."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.machine import Machine
 from repro.run import run_workload
 from repro.sim.config import PAGE_SIZE, SimulationConfig
+from repro.sim.rng import make_rng
 from repro.workloads.gapbs import KERNELS, Graph
+from repro.workloads.gapbs import tc as tc_module
 from repro.workloads.gapbs.base import (
+    NEIGHBORS,
     NEIGHBORS_BASE,
     OFFSETS_BASE,
     PROP_BASE,
 )
 from repro.workloads.gapbs.cc import ConnectedComponentsWorkload
-from repro.workloads.gapbs.pagerank import PageRankWorkload
-from repro.workloads.gapbs.tc import TriangleCountWorkload
+from repro.workloads.gapbs.pagerank import DAMPING, PageRankWorkload
+from repro.workloads.gapbs.tc import TriangleCountWorkload, count_triangles
 
 CONFIG = SimulationConfig(dram_pages=(256,), pm_pages=(2048,))
 
@@ -70,11 +74,56 @@ def test_cc_matches_networkx(small_graph):
 
 
 def test_triangle_count_matches_networkx():
-    graph = Graph.uniform(60, 200, seed=8)
-    workload = TriangleCountWorkload(graph)
+    # A uniform graph, and an R-MAT one whose skewed degrees exercise the
+    # degree ordering and the hubs' many wedges.
+    for graph in (Graph.uniform(60, 200, seed=8), Graph.rmat(scale=8, seed=4)):
+        workload = TriangleCountWorkload(graph)
+        drive(workload)
+        expected = sum(nx.triangles(to_networkx(graph)).values()) // 3
+        assert expected > 0
+        assert workload.triangles == expected
+
+
+def test_triangle_count_is_chunk_size_independent(monkeypatch):
+    graph = Graph.rmat(scale=8, seed=4)
+    whole = count_triangles(graph)
+    monkeypatch.setattr(tc_module, "_WEDGE_CHUNK", 5)
+    assert count_triangles(graph) == whole
+
+
+def test_pagerank_matches_scalar_push_loop():
+    graph = Graph.rmat(scale=8, seed=4)
+    workload = PageRankWorkload(graph, iterations=4)
     drive(workload)
-    expected = sum(nx.triangles(to_networkx(graph)).values()) // 3
-    assert workload.triangles == expected
+    # The push loop the kernel vectorizes, one edge at a time.
+    n = graph.n
+    rank = [1.0 / n] * n
+    for __ in range(4):
+        next_rank = [(1.0 - DAMPING) / n] * n
+        for u in range(n):
+            if graph.degree(u):
+                share = DAMPING * rank[u] / graph.degree(u)
+                for v in graph.neigh(u).tolist():
+                    next_rank[v] += share
+        rank = next_rank
+    assert workload.final_ranks == pytest.approx(rank, rel=1e-12, abs=0)
+
+
+def test_bc_centrality_matches_networkx(small_graph):
+    workload = KERNELS["bc"](small_graph, trials=1, seed=2, n_sources=3)
+    drive(workload)
+    sources = make_rng(2, "bc-src-0").integers(0, small_graph.n, size=3).tolist()
+    g = to_networkx(small_graph)
+    expected = np.zeros(small_graph.n)
+    for source in sources:
+        # networkx halves undirected subset betweenness; Brandes'
+        # dependencies from one source count each pair once per end.
+        partial = nx.betweenness_centrality_subset(
+            g, sources=[source], targets=list(g), normalized=False
+        )
+        for v, value in partial.items():
+            expected[v] += 2 * value
+    assert workload.centrality == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_pagerank_sums_to_one(small_graph):
@@ -107,11 +156,17 @@ def test_neighbor_touch_lines_reflect_range(small_graph):
     machine = Machine(CONFIG, "static")
     workload.setup(machine)
     hub = max(range(small_graph.n), key=small_graph.degree)
-    touches = list(workload.touch_neighbors(hub))
-    total_lines = sum(t.lines for t in touches)
+    vpages, __, lines, __, __ = workload.touch_rows([NEIGHBORS], [hub])
+    touches = list(zip(vpages.tolist(), lines.tolist()))
+    total_lines = sum(width for __, width in touches)
     byte_span = small_graph.degree(hub) * 4
     assert total_lines >= byte_span // 64
-    assert all(t.lines <= PAGE_SIZE // 64 for t in touches)
+    assert all(width <= PAGE_SIZE // 64 for __, width in touches)
+    # The derived stream carries exactly these rows, in a row.
+    stream = [(a.vpage, a.lines) for a in workload.accesses()]
+    assert any(
+        stream[i : i + len(touches)] == touches for i in range(len(stream))
+    )
 
 
 def test_load_workload_separates_load_from_trials(small_graph):
