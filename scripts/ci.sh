@@ -56,9 +56,12 @@ assert got == recorded["autonuma"], "SoA array driver diverged from baseline"
 print("SoA array driver is bit-identical to the recorded autonuma baseline")
 PYEOF
 
-echo "== Fig 6 gate (the regenerated table must match the recorded one) =="
-python -m repro experiment fig6 | diff tests/data/fig6_table.txt -
-echo "Fig 6 table matches tests/data/fig6_table.txt"
+echo "== figure gates (each regenerated table must match the recorded one) =="
+for id in fig1 fig2 fig5 fig6 fig7 fig8 fig9 fig10 overhead \
+          ablation-ratio ablation-dirty ablation-adaptive ext-workload-e; do
+    python -m repro experiment "$id" | diff "tests/data/${id}_table.txt" -
+    echo "$id table matches tests/data/${id}_table.txt"
+done
 
 echo "== bench guard (batched touch must not regress below the floor) =="
 python - "$BENCH_TMP/BENCH_perf.json" <<'PYEOF'
@@ -80,6 +83,13 @@ DEACTIVATE_FLOOR = 300_000
 # at smoke size (the batch=False scalar oracle: ~60k); the floor sits 3x
 # under it, so tripping it means the kernels fell off the array driver.
 GAPBS_FLOOR = 85_000
+
+# YCSB Load + A on the array driver measures ~360k-590k simulated
+# accesses/s at smoke size (the batch=False scalar oracle: ~90k-120k;
+# the object driver the phases used before: ~80k); the floor sits 3x
+# under the slowest run, so tripping it means the phases fell off the
+# array driver.
+YCSB_FLOOR = 110_000
 
 bench = json.load(open(sys.argv[1]))
 touch = bench["touch"]
@@ -111,6 +121,17 @@ assert grate >= GAPBS_FLOOR, (
 print(f"GAPBS pr+tc {grate:,.0f} accesses/s >= floor {GAPBS_FLOOR:,} accesses/s"
       f" (oracle {gapbs['oracle_accesses_per_sec']:,.0f}, speedup"
       f" {gapbs['speedup']}x), identical=True")
+
+ycsb = bench["ycsb_a"]
+assert ycsb["identical"] is True, f"YCSB array path diverged from the oracle: {ycsb}"
+yrate = ycsb["accesses_per_wall_sec"]
+assert yrate >= YCSB_FLOOR, (
+    f"YCSB end to end regressed: {yrate:,.0f} accesses/s"
+    f" < floor {YCSB_FLOOR:,} accesses/s"
+)
+print(f"YCSB load+A {yrate:,.0f} accesses/s >= floor {YCSB_FLOOR:,} accesses/s"
+      f" (oracle {ycsb['oracle_accesses_per_wall_sec']:,.0f}, speedup"
+      f" {ycsb['speedup']}x), identical=True")
 
 journal = bench["journal"]
 assert journal["identical"] is True, f"journal-armed sweep diverged: {journal}"

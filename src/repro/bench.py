@@ -17,7 +17,10 @@ benchmarks, written to ``BENCH_perf.json``:
   in pages scanned per host second.
 * ``ycsb_a`` — end-to-end host wall time of a YCSB Load + Workload A
   sequence under ``multiclock``, the closest thing to "how long does a
-  paper experiment take".
+  paper experiment take": the phases' column streams through the array
+  driver versus the ``run_workload(batch=False)`` scalar oracle, with
+  the speedup and an ``identical`` flag asserting both produced the
+  same results.
 * ``trace`` — the tracepoint layer's cost: the same ``multiclock`` run
   with tracing off versus armed.  Reports both throughputs, the
   overhead ratio, and an ``identical`` flag asserting the traced run's
@@ -331,23 +334,34 @@ def bench_deactivate(
 def bench_ycsb_a(
     *, n_records: int = 10_000, ops: int = 50_000, seed: int = 42
 ) -> dict[str, Any]:
-    """Host wall time of a YCSB Load + Workload A run under multiclock."""
+    """Host wall time of a YCSB Load + Workload A run under multiclock.
+
+    The array driver (what every YCSB experiment runs) against the
+    ``run_workload(batch=False)`` scalar oracle over the derived object
+    stream, each on a fresh session and machine.
+    """
     from repro.run import run_workload
     from repro.workloads.ycsb import YCSBSession
 
-    session = YCSBSession(n_records, seed=seed)
-    footprint = session.footprint_pages()
+    footprint = YCSBSession(n_records, seed=seed).footprint_pages()
     config = SimulationConfig(
         dram_pages=(max(256, footprint // 3),),
         pm_pages=(footprint * 2,),
         daemons=DaemonConfig(),
         seed=seed,
     )
-    machine = Machine(config, "multiclock")
-    start = time.perf_counter()
-    run_workload(session.load_phase(), config, machine=machine)
-    result = run_workload(session.phase("A", ops), config, machine=machine)
-    elapsed = time.perf_counter() - start
+
+    def run(batch: bool) -> tuple[float, list]:
+        session = YCSBSession(n_records, seed=seed)
+        machine = Machine(config, "multiclock")
+        start = time.perf_counter()
+        load = run_workload(session.load_phase(), config, machine=machine, batch=batch)
+        result = run_workload(session.phase("A", ops), config, machine=machine, batch=batch)
+        return time.perf_counter() - start, [load, result]
+
+    elapsed, results = run(True)
+    oracle_wall, oracle_results = run(False)
+    result = results[-1]
     return {
         "n_records": n_records,
         "ops": ops,
@@ -356,6 +370,10 @@ def bench_ycsb_a(
         "accesses_per_wall_sec": round(result.accesses / elapsed) if elapsed > 0 else 0,
         "virtual_throughput_ops": round(result.throughput_ops),
         "dram_access_fraction": round(result.dram_access_fraction, 4),
+        "oracle_wall_seconds": round(oracle_wall, 3),
+        "oracle_accesses_per_wall_sec": round(result.accesses / oracle_wall),
+        "speedup": round(oracle_wall / elapsed, 2),
+        "identical": [r.to_dict() for r in results] == [r.to_dict() for r in oracle_results],
     }
 
 
@@ -761,7 +779,7 @@ def run_suite(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
     if smoke:
         touch = bench_touch(60_000, pages=2000, repeats=max(1, min(repeats, 2)))
         kpromoted = bench_kpromoted(pages=1000, warm_ops=10_000, runs=30)
-        ycsb = bench_ycsb_a(n_records=2_000, ops=5_000)
+        ycsb = bench_ycsb_a(n_records=2_000, ops=20_000)
         gapbs = bench_gapbs(scale_exp=10, trials=1, repeats=max(1, min(repeats, 2)))
         trace = bench_trace(30_000, pages=2000, repeats=max(1, min(repeats, 2)))
         # All four default policies, and cells big enough that the
@@ -827,7 +845,10 @@ def render(results: dict[str, Any]) -> str:
         f"  ({kpromoted['pages_scanned']:,} pages in {kpromoted['wall_seconds']}s)",
         f"ycsb-a     {ycsb['wall_seconds']}s wall for load+{ycsb['ops']:,} ops"
         f"  ({ycsb['accesses_per_wall_sec']:,} accesses/s host,"
-        f" {ycsb['virtual_throughput_ops']:,} ops/s virtual)",
+        f" {ycsb['virtual_throughput_ops']:,} ops/s virtual)"
+        f"  oracle {ycsb['oracle_wall_seconds']}s"
+        f"  speedup {ycsb['speedup']:.2f}x"
+        f"  identical={ycsb['identical']}",
     ]
     gapbs = results.get("gapbs")
     if gapbs is not None:

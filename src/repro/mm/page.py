@@ -125,7 +125,7 @@ class Page:
     # -- flag helpers (named after their page-flags.h counterparts) -------
 
     def test(self, flag: PageFlags) -> bool:
-        return bool(self._store.flags[self.pfn] & flag)
+        return bool(self._store.flags[self.pfn] & int(flag))
 
     def set(self, flag: PageFlags) -> None:
         self._store.flags[self.pfn] |= int(flag)
@@ -136,7 +136,7 @@ class Page:
     def test_and_clear(self, flag: PageFlags) -> bool:
         """Atomically read and clear — how scans consume REFERENCED."""
         column = self._store.flags
-        was_set = bool(column[self.pfn] & flag)
+        was_set = bool(column[self.pfn] & int(flag))
         column[self.pfn] &= ~int(flag)
         return was_set
 

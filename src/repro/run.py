@@ -10,11 +10,12 @@ virtual second, execution time) together with the full stats snapshot
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from repro.machine import Machine
 from repro.sim.config import SimulationConfig
 from repro.sim.vclock import NANOS_PER_SECOND
-from repro.workloads.base import NumericWorkload, Workload
+from repro.workloads.base import NumericWorkload, PageAccess, Workload
 
 __all__ = ["RunResult", "run_workload", "run_numeric_stream"]
 
@@ -156,57 +157,20 @@ def run_workload(
     ``workload.accesses()``, the scalar oracle both fast drivers are
     tested against.  All three produce identical results.
     """
-    if machine is None:
-        machine = Machine(config, policy)
-    workload.setup(machine)
-    start_ns = machine.clock.now_ns
-    start_app = machine.clock.app_ns
-    start_system = machine.clock.system_ns
-    start_counters = machine.stats.snapshot()
-    # "Saw any op boundary" is tracked explicitly rather than inferred
-    # from operations truthiness, and a workload may declare that it
-    # marks boundaries: a marked phase that happens to complete zero
-    # operations must not be mislabelled as a fallback run.
-    if batch and type(workload).accesses is NumericWorkload.accesses:
-        accesses, operations = machine.touch_batch_array(
-            workload.process,  # type: ignore[attr-defined]
-            workload.numeric_batches(),  # type: ignore[attr-defined]
-            lines=workload.lines,  # type: ignore[attr-defined]
-            cache=workload.cpu_cache,  # type: ignore[attr-defined]
-        )
-        saw_op_boundary = operations > 0
-    elif batch:
-        accesses, operations = machine.touch_batch(workload.accesses())
-        saw_op_boundary = operations > 0
-    else:
-        operations = 0
-        accesses = 0
-        saw_op_boundary = False
-        for access in workload.accesses():
-            machine.touch(
-                access.process, access.vpage, is_write=access.is_write, lines=access.lines
+
+    def drive(machine: Machine) -> tuple[int, int]:
+        if not batch:
+            return _touch_each(machine, workload.accesses())
+        if type(workload).accesses is NumericWorkload.accesses:
+            return machine.touch_batch_array(
+                workload.process,  # type: ignore[attr-defined]
+                workload.numeric_batches(),  # type: ignore[attr-defined]
+                lines=workload.lines,  # type: ignore[attr-defined]
+                cache=workload.cpu_cache,  # type: ignore[attr-defined]
             )
-            accesses += 1
-            if access.op_boundary:
-                operations += 1
-                saw_op_boundary = True
-    marked = saw_op_boundary or workload.marks_op_boundaries
-    end_counters = machine.stats.snapshot()
-    deltas = {
-        key: end_counters.get(key, 0) - start_counters.get(key, 0)
-        for key in end_counters
-    }
-    return RunResult(
-        workload=workload.name,
-        policy=machine.policy.name,
-        operations=operations if marked else accesses,
-        accesses=accesses,
-        elapsed_ns=machine.clock.now_ns - start_ns,
-        app_ns=machine.clock.app_ns - start_app,
-        system_ns=machine.clock.system_ns - start_system,
-        counters=deltas,
-        ops_fallback=not marked,
-    )
+        return machine.touch_batch(workload.accesses())
+
+    return _measured(workload, config, policy, machine, drive)
 
 
 def run_numeric_stream(
@@ -233,17 +197,47 @@ def run_numeric_stream(
     :func:`run_workload`) so callers can arm tracing or metrics before
     the stream runs.
     """
+    return _measured(
+        workload,
+        config,
+        policy,
+        machine,
+        lambda machine: machine.touch_batch_array(
+            workload.process, stream, lines=workload.lines  # type: ignore[attr-defined]
+        ),
+    )
+
+
+def _touch_each(machine: Machine, accesses: Iterable[PageAccess]) -> tuple[int, int]:
+    """The scalar oracle: one :meth:`Machine.touch` per access."""
+    n_accesses = n_operations = 0
+    for access in accesses:
+        machine.touch(access.process, access.vpage, is_write=access.is_write, lines=access.lines)
+        n_accesses += 1
+        n_operations += access.op_boundary
+    return n_accesses, n_operations
+
+
+def _measured(
+    workload: Workload,
+    config: SimulationConfig,
+    policy: str,
+    machine: Machine | None,
+    drive: Callable[[Machine], tuple[int, int]],
+) -> RunResult:
+    """Set ``workload`` up, ``drive`` its stream, and report the deltas.
+
+    A marked run -- one that saw an op boundary, or whose workload
+    declares it marks them -- reports operations, even zero of them; an
+    unmarked one falls back to counting accesses.
+    """
     if machine is None:
         machine = Machine(config, policy)
     workload.setup(machine)
-    process = workload.process  # type: ignore[attr-defined]
-    start_ns = machine.clock.now_ns
-    start_app = machine.clock.app_ns
-    start_system = machine.clock.system_ns
+    clock = machine.clock
+    start_ns, start_app, start_system = clock.now_ns, clock.app_ns, clock.system_ns
     start_counters = machine.stats.snapshot()
-    accesses, operations = machine.touch_batch_array(
-        process, stream, lines=workload.lines  # type: ignore[attr-defined]
-    )
+    accesses, operations = drive(machine)
     marked = operations > 0 or workload.marks_op_boundaries
     end_counters = machine.stats.snapshot()
     deltas = {
@@ -255,9 +249,9 @@ def run_numeric_stream(
         policy=machine.policy.name,
         operations=operations if marked else accesses,
         accesses=accesses,
-        elapsed_ns=machine.clock.now_ns - start_ns,
-        app_ns=machine.clock.app_ns - start_app,
-        system_ns=machine.clock.system_ns - start_system,
+        elapsed_ns=clock.now_ns - start_ns,
+        app_ns=clock.app_ns - start_app,
+        system_ns=clock.system_ns - start_system,
         counters=deltas,
         ops_fallback=not marked,
     )

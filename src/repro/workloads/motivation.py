@@ -29,7 +29,7 @@ import numpy as np
 from repro.machine import Machine
 from repro.mm.address_space import Process
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess, Workload
+from repro.workloads.base import NumericWorkload
 
 __all__ = ["MotivationProfile", "MotivationWorkload", "PROFILES"]
 
@@ -66,8 +66,12 @@ PROFILES: dict[str, MotivationProfile] = {
 }
 
 
-class MotivationWorkload(Workload):
-    """Segmented access generator over the three page populations."""
+class MotivationWorkload(NumericWorkload):
+    """Segmented access generator over the three page populations.
+
+    Each segment's picks are one numeric batch of single-access read
+    operations, ``lines`` wide.
+    """
 
     marks_op_boundaries = True
 
@@ -125,17 +129,18 @@ class MotivationWorkload(Workload):
         weights[self.tier_friendly[~bursting]] = profile.rare_rate
         return weights / weights.sum()
 
-    def trace(self) -> Iterator[tuple[int, int]]:
-        """Machine-free ``(segment, vpage)`` stream for pure analysis."""
+    def _segment_picks(self) -> Iterator[np.ndarray]:
         rng = make_rng(self.seed, f"motivation-{self.profile.name}-trace")
         for segment in range(self.segments):
             weights = self._segment_weights(rng, segment)
-            picks = rng.choice(self.pages, size=self.ops_per_segment, p=weights)
+            yield rng.choice(self.pages, size=self.ops_per_segment, p=weights)
+
+    def trace(self) -> Iterator[tuple[int, int]]:
+        """Machine-free ``(segment, vpage)`` stream for pure analysis."""
+        for segment, picks in enumerate(self._segment_picks()):
             for vpage in picks.tolist():
                 yield segment, vpage
 
-    def accesses(self) -> Iterator[PageAccess]:
-        process = self.process
-        assert process is not None, "setup() must run before accesses()"
-        for __segment, vpage in self.trace():
-            yield PageAccess(process, vpage, op_boundary=True, lines=self.lines)
+    def numeric_batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for picks in self._segment_picks():
+            yield picks, np.zeros(len(picks), dtype=bool)

@@ -19,8 +19,10 @@ needs), then touch the clustered data pages.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.sim.config import PAGE_SIZE
-from repro.workloads.kvstore import CACHE_LINE, PageTouch
+from repro.workloads.kvstore import CACHE_LINE, INSERT, READ, PageTouch, grown, lookup
 
 __all__ = ["SortedKVStore"]
 
@@ -48,14 +50,15 @@ class SortedKVStore:
         self.items_per_page = PAGE_SIZE // chunk
         self.index_base = index_base
         self.data_base = data_base
-        self._keys: set[int] = set()
+        self._present = np.zeros(0, dtype=bool)  # indexed by key
+        self._count = 0
         self._max_key = -1
 
     # -- layout ------------------------------------------------------------
 
     @property
     def n_records(self) -> int:
-        return len(self._keys)
+        return self._count
 
     @property
     def hash_base(self) -> int:
@@ -74,7 +77,10 @@ class SortedKVStore:
 
     def location(self, key: int) -> int | None:
         """Clustered position: dense keys sit at their own rank."""
-        return key if key in self._keys else None
+        return key if self._has(key) else None
+
+    def _has(self, key: int) -> bool:
+        return 0 <= key < len(self._present) and bool(self._present[key])
 
     def _data_vpage(self, key: int) -> int:
         return self.data_base + key // self.items_per_page
@@ -91,7 +97,7 @@ class SortedKVStore:
         return max(1, self.chunk_size // CACHE_LINE)
 
     def _require(self, key: int) -> int:
-        if key not in self._keys:
+        if not self._has(key):
             raise KeyError(f"key {key} was never inserted")
         return key
 
@@ -99,9 +105,13 @@ class SortedKVStore:
 
     def insert(self, key: int) -> list[PageTouch]:
         """Clustered insert; YCSB inserts are append-ordered (new max keys)."""
-        if key in self._keys:
+        if self._has(key):
             return self.update(key)
-        self._keys.add(key)
+        if key < 0:
+            raise ValueError("keys are non-negative integers")
+        self._present = grown(self._present, key + 1, False)
+        self._present[key] = True
+        self._count += 1
         self._max_key = max(self._max_key, key)
         return self._index_touches(key, is_write=True) + [
             PageTouch(self._data_vpage(key), is_write=True, lines=self._value_lines())
@@ -121,6 +131,38 @@ class SortedKVStore:
 
     def read_modify_write(self, key: int) -> list[PageTouch]:
         return self.read(key) + self.update(key)
+
+    def rows(
+        self, kinds: np.ndarray, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The touches of a block of single-key operations, as columns.
+
+        The contract of :meth:`SlabKVStore.rows`; each row is the root
+        probe, the leaf probe, then the record: shape ``(len(keys), 3)``.
+        """
+        new = (kinds == INSERT) & ~lookup(self._present, keys, False)
+        fresh = keys[new]
+        if len(fresh):
+            if fresh.min() < 0:
+                raise ValueError("keys are non-negative integers")
+            self._present = grown(self._present, int(fresh.max()) + 1, False)
+            self._present[fresh] = True
+            self._count += len(fresh)
+            self._max_key = max(self._max_key, int(fresh.max()))
+        missing = ~lookup(self._present, keys, False)
+        if missing.any():
+            raise KeyError(f"key {int(keys[missing][0])} was never inserted")
+        vpages = np.stack(
+            (
+                np.full(len(keys), self.index_base),
+                self.index_base + 1 + keys // _KEYS_PER_INDEX_PAGE,
+                self.data_base + keys // self.items_per_page,
+            ),
+            axis=1,
+        )
+        writes = np.stack((np.zeros(len(keys), dtype=bool), new, kinds != READ), axis=1)
+        lines = np.tile(np.array([1, 1, self._value_lines()]), (len(keys), 1))
+        return vpages, writes, lines
 
     def scan(self, start_key: int, count: int) -> list[PageTouch]:
         """Range read of ``count`` records from ``start_key`` onward.

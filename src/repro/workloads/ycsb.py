@@ -18,6 +18,11 @@ The prescribed execution sequence (Section V-B) is Load, A, B, C, F, W,
 then D last because D grows the record count; :class:`YCSBSession`
 manages the shared store and process across phases so the sequence runs
 against warm machine state, as on the paper's testbed.
+
+Every phase is a :class:`~repro.workloads.base.NumericWorkload`: it
+emits one column batch of page touches per block of operations for the
+array driver, and its ``accesses()`` object stream is derived from the
+same batches.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ import numpy as np
 from repro.machine import Machine
 from repro.mm.address_space import Process
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess, Workload
-from repro.workloads.kvstore import SlabKVStore
+from repro.workloads.base import NumericWorkload
+from repro.workloads.kvstore import INSERT, READ, UPDATE, SlabKVStore
 
 __all__ = ["YCSBSession", "YCSBPhase", "YCSBLoadPhase", "WORKLOAD_MIXES", "EXECUTION_SEQUENCE"]
 
@@ -39,6 +44,10 @@ ZIPFIAN_CONSTANT = 0.99
 """YCSB's default request-distribution skew."""
 
 _BATCH = 2048
+
+RMW, SCAN = 3, 4
+"""Operation kinds past the stores' READ, UPDATE and INSERT, in the
+order of the mix thresholds."""
 
 
 @dataclass(frozen=True)
@@ -141,11 +150,6 @@ class YCSBSession:
 
     # -- key selection ----------------------------------------------------------
 
-    def zipf_weights(self, n: int) -> np.ndarray:
-        ranks = np.arange(1, n + 1, dtype=np.float64)
-        weights = ranks ** (-ZIPFIAN_CONSTANT)
-        return weights / weights.sum()
-
     def scrambled_key(self, rank: int, n: int) -> int:
         """Map a popularity rank onto the loaded keyspace."""
         return int(self._key_of_rank[rank] % n)
@@ -168,7 +172,7 @@ class YCSBSession:
         return YCSBPhase(self, name, WORKLOAD_MIXES[name], ops)
 
 
-class YCSBLoadPhase(Workload):
+class YCSBLoadPhase(NumericWorkload):
     """Insert every record sequentially — the footprint-defining phase."""
 
     marks_op_boundaries = True
@@ -178,31 +182,32 @@ class YCSBLoadPhase(Workload):
         self.name = "ycsb-load"
 
     def setup(self, machine: Machine) -> None:
-        self.session.ensure_setup(machine)
+        self.process = self.session.ensure_setup(machine)
 
     def footprint_pages(self) -> int:
         return self.session.footprint_pages()
 
-    def accesses(self) -> Iterator[PageAccess]:
+    def numeric_batches(self) -> Iterator[tuple]:
         session = self.session
-        process = session.process
-        assert process is not None
-        for key in range(session.n_records):
-            touches = session.store.insert(key)
-            session.next_key = key + 1
-            last = len(touches) - 1
-            for i, touch in enumerate(touches):
-                yield PageAccess(
-                    process,
-                    touch.vpage,
-                    is_write=touch.is_write,
-                    lines=touch.lines,
-                    op_boundary=(i == last),
-                )
+        for start in range(0, session.n_records, _BATCH):
+            keys = np.arange(start, min(start + _BATCH, session.n_records))
+            vpages, writes, lines = session.store.rows(np.full(len(keys), INSERT), keys)
+            session.next_key = int(keys[-1]) + 1
+            yield _columns(vpages, writes, lines, np.ones(len(keys), dtype=bool))
 
 
-class YCSBPhase(Workload):
-    """One execution-phase workload (A, B, C, D, F or W)."""
+class YCSBPhase(NumericWorkload):
+    """One execution-phase workload (A, B, C, D, E, F or W).
+
+    The stream is built one block of :data:`_BATCH` operations at a
+    time, with the block's draws taken in a fixed order: the operation
+    draws, the rank draws, then one uniform per non-last metadata probe
+    in row order.  The CPU-cache rule for bucket probes never reads the
+    page table -- every such probe draws, resident or not -- so the
+    absorbed probes are dropped while the block is built.  A block with
+    scans is built op by op, because each scan draws its length between
+    the probe draws of the operations around it.
+    """
 
     marks_op_boundaries = True
 
@@ -216,19 +221,15 @@ class YCSBPhase(Workload):
         self.name = f"ycsb-{label.lower()}"
 
     def setup(self, machine: Machine) -> None:
-        self.session.ensure_setup(machine)
+        self.process = self.session.ensure_setup(machine)
         if self.session.next_key == 0:
             raise RuntimeError("run the load phase before an execution phase")
 
     def footprint_pages(self) -> int:
         return self.session.footprint_pages()
 
-    def accesses(self) -> Iterator[PageAccess]:
-        session = self.session
-        store = session.store
-        process = session.process
-        assert process is not None
-        rng = make_rng(session.seed, f"ycsb-{self.label}")
+    def numeric_batches(self) -> Iterator[tuple]:
+        rng = make_rng(self.session.seed, f"ycsb-{self.label}")
         mix = self.mix
         thresholds = np.cumsum([mix.read, mix.update, mix.insert, mix.rmw, mix.scan])
         emitted = 0
@@ -236,51 +237,96 @@ class YCSBPhase(Workload):
             batch = min(_BATCH, self.ops - emitted)
             op_draw = rng.random(batch)
             rank_draw = rng.random(batch)
-            hit_rate = session.hash_cache_hit_rate
-            data_base = store.data_base
-            for i in range(batch):
-                touches = self._one_op(rng, op_draw[i], rank_draw[i], thresholds)
-                last = len(touches) - 1
-                for j, touch in enumerate(touches):
-                    is_hash_probe = touch.vpage < data_base
-                    if is_hash_probe and j != last and rng.random() < hit_rate:
-                        continue  # bucket served from the CPU cache
-                    yield PageAccess(
-                        process,
-                        touch.vpage,
-                        is_write=touch.is_write,
-                        lines=touch.lines,
-                        op_boundary=(j == last),
-                    )
+            # Past the read-modify-write threshold the chain ends in a scan.
+            kinds = np.minimum(np.searchsorted(thresholds, op_draw, side="right"), SCAN)
+            if (kinds == SCAN).any():
+                yield self._block_by_op(rng, kinds, rank_draw)
+            else:
+                yield self._block(rng, kinds, rank_draw)
             emitted += batch
 
-    def _one_op(self, rng, op_p: float, rank_p: float, thresholds) -> list:
+    def _block(self, rng, kinds: np.ndarray, rank_draw: np.ndarray) -> tuple:
+        """A block without scans, every per-op step a column operation."""
         session = self.session
         store = session.store
-        if op_p < thresholds[0]:
-            return store.read(self._pick_key(rng, rank_p))
-        if op_p < thresholds[1]:
-            return store.update(self._pick_key(rng, rank_p))
-        if op_p < thresholds[2]:
+        # Workload D's inserts grow the keyspace: each operation sees the
+        # keys inserted before it, and an insert its own key too.  Once
+        # the headroom is spent an insert degrades to an update of the
+        # newest key.
+        inserts = kinds == INSERT
+        room = max(0, session.max_records - session.next_key)
+        inserted = np.cumsum(inserts)
+        n = session.next_key + np.minimum(inserted, room)
+        session.next_key = int(n[-1])
+        kinds = np.where(inserts & (inserted > room), UPDATE, kinds)
+        keys = n - 1
+        picks = ~inserts
+        keys[picks] = self._pick_keys(rank_draw[picks], n[picks])
+        # A read-modify-write is a read, then an update, of one key.
+        op_last = np.ones(len(kinds), dtype=bool)
+        rmw = kinds == RMW
+        if rmw.any():
+            op = np.repeat(np.arange(len(kinds)), np.where(rmw, 2, 1))
+            op_last = np.append(op[1:] != op[:-1], True)
+            kinds = kinds[op]
+            kinds[(kinds == RMW) & op_last] = UPDATE
+            kinds[kinds == RMW] = READ
+            keys = keys[op]
+        vpages, writes, lines = store.rows(kinds, keys)
+        probes = vpages < store.data_base
+        probes[:, -1] &= ~op_last
+        absorbed = np.zeros(vpages.shape, dtype=bool)
+        absorbed[probes] = rng.random(int(probes.sum())) < session.hash_cache_hit_rate
+        return _columns(vpages, writes, lines, op_last, ~absorbed.ravel())
+
+    def _block_by_op(self, rng, kinds: np.ndarray, rank_draw: np.ndarray) -> tuple:
+        """A block with scans, built one operation at a time."""
+        data_base = self.session.store.data_base
+        hit_rate = self.session.hash_cache_hit_rate
+        rows = []
+        for kind, rank_p in zip(kinds.tolist(), rank_draw.tolist()):
+            touches = self._op_touches(rng, kind, rank_p)
+            last = len(touches) - 1
+            for j, touch in enumerate(touches):
+                if touch.vpage < data_base and j != last and rng.random() < hit_rate:
+                    continue  # bucket served from the CPU cache
+                rows.append((touch.vpage, touch.is_write, touch.lines, j == last))
+        vpages, writes, lines, boundary = (np.array(column) for column in zip(*rows))
+        return vpages, writes, lines, boundary, np.zeros(len(rows), dtype=np.int8)
+
+    def _op_touches(self, rng, kind: int, rank_p: float) -> list:
+        session = self.session
+        store = session.store
+        if kind == INSERT:
             key = session.next_key
             if key >= session.max_records:
-                # Headroom exhausted: degrade to an update of the newest key.
-                return store.update(session.next_key - 1)
+                return store.update(key - 1)
             session.next_key = key + 1
             return store.insert(key)
-        if op_p < thresholds[3]:
-            return store.read_modify_write(self._pick_key(rng, rank_p))
-        length = int(rng.integers(1, MAX_SCAN_LENGTH + 1))
-        return store.scan(self._pick_key(rng, rank_p), length)
+        key = self._pick_key(rank_p)
+        if kind == READ:
+            return store.read(key)
+        if kind == UPDATE:
+            return store.update(key)
+        if kind == RMW:
+            return store.read_modify_write(key)
+        return store.scan(key, int(rng.integers(1, MAX_SCAN_LENGTH + 1)))
 
-    def _pick_key(self, rng, rank_p: float) -> int:
+    def _pick_key(self, rank_p: float) -> int:
         session = self.session
         n = session.next_key
         rank = self._zipf_rank(rank_p, n)
         if self.mix.distribution == "latest":
-            # Recency skew: rank 0 = newest insert.
             return n - 1 - rank
         return session.scrambled_key(rank, n)
+
+    def _pick_keys(self, rank_p: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """:meth:`_pick_key` of each rank draw over its own keyspace size."""
+        ranks = self._zipf_ranks(rank_p, n)
+        if self.mix.distribution == "latest":
+            # Recency skew: rank 0 = newest insert.
+            return n - 1 - ranks
+        return self.session._key_of_rank[ranks] % n
 
     def _zipf_rank(self, p: float, n: int) -> int:
         """Inverse-CDF zipfian rank via YCSB's ZipfianGenerator closed
@@ -298,6 +344,62 @@ class YCSBPhase(Workload):
         if uz < zeta2:
             return 1
         return int(n * (eta * p - eta + 1) ** alpha) % n
+
+    def _zipf_ranks(self, p: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """:meth:`_zipf_rank` of each draw ``p[i]`` over ``n[i]`` keys, bit
+        for bit.
+
+        zeta and eta come from the scalar's Python floats, once per
+        distinct ``n``, and every step but the power is an IEEE operation
+        numpy rounds exactly as Python does.  numpy's ``power`` may
+        differ from libm's ``pow`` in the last ulps; the product ``n *
+        base ** alpha`` can then land on the other side of an integer --
+        and so truncate to another rank -- only when it lies within that
+        distance of one.  Every product within 1e-9 (relative) of an
+        integer is therefore recomputed with Python floats.
+        """
+        theta = ZIPFIAN_CONSTANT
+        zeta2 = 1.0 + 0.5 ** theta
+        alpha = 1.0 / (1.0 - theta)
+        sizes, which = np.unique(n, return_inverse=True)
+        zetas = [self.session.zeta.upto(int(size)) for size in sizes.tolist()]
+        etas = [
+            (1 - (2.0 / size) ** (1 - theta)) / (1 - zeta2 / zeta) if size > 2 else 0.0
+            for size, zeta in zip(sizes.tolist(), zetas)
+        ]
+        zetan = np.array(zetas)[which]
+        uz = p * zetan
+        ranks = np.where(uz < 1.0, 0, np.where((uz < zeta2) | (n <= 2), 1, 0))
+        ranks = np.minimum(ranks, n - 1)
+        tail = np.flatnonzero((uz >= zeta2) & (n > 2))
+        if len(tail):
+            eta = np.array(etas)[which[tail]]
+            p_tail = p[tail]
+            y = n[tail] * np.power(eta * p_tail - eta + 1, alpha)
+            ranks[tail] = y.astype(np.int64) % n[tail]
+            near = np.flatnonzero(np.abs(y - np.rint(y)) <= 1e-9 * np.maximum(y, 1.0))
+            for i, e, q in zip(tail[near].tolist(), eta[near].tolist(), p_tail[near].tolist()):
+                size = int(n[i])
+                ranks[i] = int(size * (e * q - e + 1) ** alpha) % size
+        return ranks
+
+
+def _columns(
+    vpages: np.ndarray,
+    writes: np.ndarray,
+    lines: np.ndarray,
+    op_last: np.ndarray,
+    keep: np.ndarray | None = None,
+) -> tuple:
+    """The column batch of per-operation touch rows: every row of a
+    ``(ops, touches)`` block in order, an operation boundary on the last
+    touch of each operation that ends there, and only the ``keep`` rows."""
+    boundary = np.zeros(vpages.shape, dtype=bool)
+    boundary[:, -1] = op_last
+    columns = [column.ravel() for column in (vpages, writes, lines, boundary)]
+    if keep is not None:
+        columns = [column[keep] for column in columns]
+    return (*columns, np.zeros(len(columns[0]), dtype=np.int8))
 
 
 class IncrementalZeta:
