@@ -58,10 +58,14 @@ PYEOF
 
 echo "== figure gates (each regenerated table must match the recorded one) =="
 for id in fig1 fig2 fig5 fig6 fig7 fig8 fig9 fig10 overhead \
-          ablation-ratio ablation-dirty ablation-adaptive ext-workload-e; do
+          ablation-ratio ablation-dirty ablation-adaptive ext-workload-e \
+          ext-dual-socket; do
     python -m repro experiment "$id" | diff "tests/data/${id}_table.txt" -
     echo "$id table matches tests/data/${id}_table.txt"
 done
+
+echo "== figure suite (benchmarks/, the paper-claim assertions) =="
+python -m pytest benchmarks/ --ignore=benchmarks/perf -q
 
 echo "== bench guard (batched touch must not regress below the floor) =="
 python - "$BENCH_TMP/BENCH_perf.json" <<'PYEOF'

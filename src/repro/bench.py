@@ -6,13 +6,13 @@ simulator itself fast enough to run the paper's full workloads.  Three
 benchmarks, written to ``BENCH_perf.json``:
 
 * ``touch`` — the per-access :meth:`~repro.machine.Machine.touch` loop
-  versus :meth:`~repro.machine.Machine.touch_batch` (object stream) and
+  versus the access driver's single-process entry
   :meth:`~repro.machine.Machine.touch_batch_array` (numeric arrays, the
   sweep pool's replay path) on the same fixed-seed Zipf stream, under
   the ``static`` policy so no daemon work dilutes the pure access path.
-  Reports ops/sec for all three drivers (``batched_ops_per_sec`` is the
-  array driver), the speedup, and an ``identical`` flag asserting the
-  runs ended with bit-identical counters and virtual clocks.
+  Reports ops/sec for both (``batched_ops_per_sec`` is the driver), the
+  speedup, and an ``identical`` flag asserting the runs ended with
+  bit-identical counters and virtual clocks.
 * ``kpromoted`` — scan throughput of the MULTI-CLOCK promotion daemon,
   in pages scanned per host second.
 * ``ycsb_a`` — end-to-end host wall time of a YCSB Load + Workload A
@@ -57,7 +57,10 @@ benchmarks, written to ``BENCH_perf.json``:
   results — the same property the byte-identical report pins).
 
 Each benchmark takes a best-of-``repeats`` timing to shrug off host
-scheduling noise.  ``--smoke`` shrinks the workloads to CI size.
+scheduling noise; the off-versus-armed ones (``trace``, ``metrics``,
+``journal``) give every arm an untimed warm run first and alternate
+which arm goes first across repeats, so no arm alone pays a cold start.
+``--smoke`` shrinks the workloads to CI size.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import json
 import os
 import platform
 import time
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.machine import Machine
 from repro.sim.config import DaemonConfig, SimulationConfig
@@ -117,23 +120,22 @@ def _machine_state(machine: Machine) -> tuple[dict[str, int], int, int, int]:
 def bench_touch(
     ops: int = 200_000, *, pages: int = 4000, repeats: int = 3, seed: int = 42
 ) -> dict[str, Any]:
-    """Per-access loop vs the two batched drivers on one access stream.
+    """Per-access loop vs the access driver on one access stream.
 
-    Three arms over the same fixed-seed Zipf stream: the per-access
-    :meth:`~repro.machine.Machine.touch` loop, the object-stream
-    :meth:`~repro.machine.Machine.touch_batch`, and the numeric array
-    driver :meth:`~repro.machine.Machine.touch_batch_array` (the sweep
-    pool's replay path, and the headline ``batched_ops_per_sec``).
+    Two arms over the same fixed-seed Zipf stream: the per-access
+    :meth:`~repro.machine.Machine.touch` loop and the driver's
+    single-process entry :meth:`~repro.machine.Machine.touch_batch_array`
+    (the sweep pool's replay path, and the headline
+    ``batched_ops_per_sec``).
 
-    Each arm drives the stream through a fresh machine twice with its
-    own driver: the first pass populates the pages (a cold-fault storm
-    whose cost is the slow fault path, not the access path) and the
-    second, timed pass measures the steady-state throughput the paper's
-    long workloads actually see — the same warm-up discipline
-    ``bench_kpromoted`` uses.  The array arm's cold first pass is also
-    timed and reported as ``cold_batched_ops_per_sec``.  ``identical``
-    asserts all three arms ended both passes with bit-identical counters
-    and virtual clocks.
+    Each arm drives the stream through a fresh machine twice: the first
+    pass populates the pages (a cold-fault storm whose cost is the slow
+    fault path, not the access path) and the second, timed pass measures
+    the steady-state throughput the paper's long workloads actually see
+    — the same warm-up discipline ``bench_kpromoted`` uses.  The driver
+    arm's cold first pass is also timed and reported as
+    ``cold_batched_ops_per_sec``.  ``identical`` asserts both arms ended
+    both passes with bit-identical counters and virtual clocks.
     """
 
     def materialize() -> tuple[Machine, ZipfWorkload]:
@@ -147,9 +149,9 @@ def bench_touch(
     batches = list(ZipfWorkload(pages, ops, seed=seed, write_ratio=0.2).numeric_batches())
 
     # Timing runs: fresh machine per repeat so every repeat warms up the
-    # same way and the drivers all see the same starting point.  The
-    # baseline loop body mirrors run_workload(batch=False) — the
-    # original per-access driver — exactly, down to the operation count.
+    # same way and both arms see the same starting point.  The baseline
+    # loop body mirrors run_workload(batch=False) — the scalar oracle —
+    # exactly, down to the operation count.
     per_access_best = float("inf")
     for _ in range(max(1, repeats)):
         machine, workload = materialize()
@@ -170,17 +172,6 @@ def bench_touch(
             per_access_best = min(per_access_best, time.perf_counter() - start)
     per_state = _machine_state(machine)
 
-    object_best = float("inf")
-    for _ in range(max(1, repeats)):
-        machine, workload = materialize()
-        stream = list(workload.accesses())
-        machine.touch_batch(stream)  # warm pass
-        with _gc_paused():
-            start = time.perf_counter()
-            machine.touch_batch(stream)
-            object_best = min(object_best, time.perf_counter() - start)
-    object_state = _machine_state(machine)
-
     array_best = cold_best = float("inf")
     for _ in range(max(1, repeats)):
         machine, workload = materialize()
@@ -194,29 +185,49 @@ def bench_touch(
     array_state = _machine_state(machine)
 
     per_ops = ops / per_access_best
-    object_ops = ops / object_best
     array_ops = ops / array_best
     return {
         "ops": ops,
         "pages": pages,
         "repeats": repeats,
         "per_access_ops_per_sec": round(per_ops),
-        "object_batched_ops_per_sec": round(object_ops),
         "cold_batched_ops_per_sec": round(ops / cold_best),
         "batched_ops_per_sec": round(array_ops),
         "speedup": round(array_ops / per_ops, 2),
-        "identical": per_state == object_state == array_state,
+        "identical": per_state == array_state,
     }
+
+
+def _drive_zipf(machine: Machine, workload: ZipfWorkload) -> None:
+    workload.setup(machine)
+    machine.touch_batch_array(
+        workload.process, workload.numeric_batches(), lines=workload.lines
+    )
+
+
+def _alternating(arms: dict[str, Callable[[], float]], repeats: int) -> dict[str, float]:
+    """Best-of-``repeats`` wall seconds of each timed arm.
+
+    Every arm first runs once untimed, and the arm order alternates
+    across repeats, so no arm alone pays the cold start.
+    """
+    for arm in arms.values():
+        arm()
+    names = list(arms)
+    best = dict.fromkeys(names, float("inf"))
+    for round_no in range(max(1, repeats)):
+        for name in names if round_no % 2 == 0 else reversed(names):
+            best[name] = min(best[name], arms[name]())
+    return best
 
 
 def bench_kpromoted(
     *, pages: int = 4000, warm_ops: int = 50_000, runs: int = 200, seed: int = 42
 ) -> dict[str, Any]:
     """Pages scanned per host second by the kpromoted daemon."""
-    workload = ZipfWorkload(pages, warm_ops, seed=seed, write_ratio=0.2)
     machine = Machine(_config(seed), "multiclock")
-    workload.setup(machine)
-    machine.touch_batch(workload.accesses())  # warm the lists
+    # Warm the lists.
+    _drive_zipf(machine, ZipfWorkload(pages, warm_ops, seed=seed, write_ratio=0.2))
     daemons = machine.system.policy._kpromoted  # type: ignore[attr-defined]
     scanned = machine.stats.counter("kpromoted.pages_scanned")
     before = scanned.n
@@ -254,10 +265,9 @@ def bench_deactivate(
     from repro.mm.lruvec import ListKind
 
     def build() -> Machine:
-        workload = ZipfWorkload(pages, warm_ops, seed=seed, write_ratio=0.2)
         machine = Machine(_config(seed), "autonuma")
-        workload.setup(machine)
-        machine.touch_batch(workload.accesses())  # warm the lists
+        # Warm the lists.
+        _drive_zipf(machine, ZipfWorkload(pages, warm_ops, seed=seed, write_ratio=0.2))
         return machine
 
     def drive(machine: Machine, scalar: bool) -> tuple[int, float]:
@@ -422,6 +432,46 @@ def bench_gapbs(
     }
 
 
+def _off_vs_armed(
+    ops: int, pages: int, repeats: int, seed: int, arm: Callable[[Machine], Any]
+) -> tuple[dict[str, Any], Any]:
+    """One multiclock Zipf run with instrumentation off vs armed by ``arm``.
+
+    Returns the shared result fields and what ``arm`` returned on the
+    last armed run.  ``identical`` asserts arming moved no counter and
+    no virtual clock.
+    """
+    states: dict[bool, tuple] = {}
+    armed_with: list[Any] = [None]
+
+    def run_once(armed: bool) -> float:
+        machine = Machine(_config(seed), "multiclock")
+        if armed:
+            armed_with[0] = arm(machine)
+        workload = ZipfWorkload(pages, ops, seed=seed, write_ratio=0.2)
+        workload.setup(machine)
+        batches = list(workload.numeric_batches())
+        with _gc_paused():
+            start = time.perf_counter()
+            machine.touch_batch_array(workload.process, batches, lines=workload.lines)
+            elapsed = time.perf_counter() - start
+        states[armed] = _machine_state(machine)
+        return elapsed
+
+    best = _alternating({"off": lambda: run_once(False), "on": lambda: run_once(True)}, repeats)
+    off_ops = ops / best["off"]
+    on_ops = ops / best["on"]
+    return {
+        "ops": ops,
+        "pages": pages,
+        "repeats": repeats,
+        "off_ops_per_sec": round(off_ops),
+        "on_ops_per_sec": round(on_ops),
+        "overhead": round(off_ops / on_ops, 3),
+        "identical": states[False] == states[True],
+    }, armed_with[0]
+
+
 def bench_trace(
     ops: int = 100_000, *, pages: int = 4000, repeats: int = 3, seed: int = 42
 ) -> dict[str, Any]:
@@ -431,43 +481,10 @@ def bench_trace(
     movement actually fire tracepoints — an access-only run would
     measure almost nothing.
     """
-
-    def run_once(traced: bool) -> tuple[Machine, float, int]:
-        workload = ZipfWorkload(pages, ops, seed=seed, write_ratio=0.2)
-        machine = Machine(_config(seed), "multiclock")
-        if traced:
-            machine.enable_tracing()
-        workload.setup(machine)
-        stream = list(workload.accesses())
-        with _gc_paused():
-            start = time.perf_counter()
-            machine.touch_batch(stream)
-            elapsed = time.perf_counter() - start
-        emitted = machine.system.trace.events_emitted if traced else 0
-        return machine, elapsed, emitted
-
-    off_best = on_best = float("inf")
-    for _ in range(max(1, repeats)):
-        machine, elapsed, _ = run_once(traced=False)
-        off_best = min(off_best, elapsed)
-    off_state = _machine_state(machine)
-    for _ in range(max(1, repeats)):
-        machine, elapsed, emitted = run_once(traced=True)
-        on_best = min(on_best, elapsed)
-    on_state = _machine_state(machine)
-
-    off_ops = ops / off_best
-    on_ops = ops / on_best
-    return {
-        "ops": ops,
-        "pages": pages,
-        "repeats": repeats,
-        "off_ops_per_sec": round(off_ops),
-        "on_ops_per_sec": round(on_ops),
-        "overhead": round(off_ops / on_ops, 3),
-        "events_emitted": emitted,
-        "identical": off_state == on_state,
-    }
+    result, tracer = _off_vs_armed(
+        ops, pages, repeats, seed, lambda machine: machine.enable_tracing()
+    )
+    return {**result, "events_emitted": tracer.events_emitted}
 
 
 def bench_metrics(
@@ -478,47 +495,18 @@ def bench_metrics(
     The armed run carries the ``vmstat_sampler`` daemon, gauge series,
     and the six hot-path histograms; ``identical`` asserts none of that
     moved a counter or the virtual clocks (the metrics-off/metrics-on
-    bit-identity the instrumentation guards promise).
+    bit-identity the instrumentation guards promise).  Dense sampling
+    (1ms virtual) keeps the cost-free sampler daemon inside the
+    identity check even on short runs.
     """
-
-    def run_once(armed: bool) -> tuple[Machine, float, Any]:
-        workload = ZipfWorkload(pages, ops, seed=seed, write_ratio=0.2)
-        machine = Machine(_config(seed), "multiclock")
-        # Dense sampling (1ms virtual) so short benchmark runs still
-        # exercise the cost-free sampler daemon inside the identity check.
-        registry = (
-            machine.enable_metrics(sample_interval_s=0.001) if armed else None
-        )
-        workload.setup(machine)
-        stream = list(workload.accesses())
-        with _gc_paused():
-            start = time.perf_counter()
-            machine.touch_batch(stream)
-            elapsed = time.perf_counter() - start
-        return machine, elapsed, registry
-
-    off_best = on_best = float("inf")
-    for _ in range(max(1, repeats)):
-        machine, elapsed, _ = run_once(armed=False)
-        off_best = min(off_best, elapsed)
-    off_state = _machine_state(machine)
-    for _ in range(max(1, repeats)):
-        machine, elapsed, registry = run_once(armed=True)
-        on_best = min(on_best, elapsed)
-    on_state = _machine_state(machine)
-
-    off_ops = ops / off_best
-    on_ops = ops / on_best
+    result, registry = _off_vs_armed(
+        ops, pages, repeats, seed,
+        lambda machine: machine.enable_metrics(sample_interval_s=0.001),
+    )
     return {
-        "ops": ops,
-        "pages": pages,
-        "repeats": repeats,
-        "off_ops_per_sec": round(off_ops),
-        "on_ops_per_sec": round(on_ops),
-        "overhead": round(off_ops / on_ops, 3),
+        **result,
         "samples": registry.samples,
         "observations": sum(h.count for h in registry.histograms.values()),
-        "identical": off_state == on_state,
     }
 
 
@@ -741,25 +729,38 @@ def bench_journal(
         ),
     )
 
-    gc.collect()
-    with _gc_paused():
-        start = time.perf_counter()
-        off = run_sweep(spec, workers=workers)
-        off_s = time.perf_counter() - start
+    results: dict[str, Any] = {}
+    events = 0
 
-    with tempfile.NamedTemporaryFile(suffix=".ndjson", delete=False) as tmp:
-        journal_path = tmp.name
-    try:
-        obs = SweepObserver(journal=Journal(journal_path))
-        gc.collect()
-        with _gc_paused():
-            start = time.perf_counter()
-            armed = run_sweep(spec, workers=workers, obs=obs)
-            armed_s = time.perf_counter() - start
-        obs.close("done")
-        events = len(read_journal(journal_path))
-    finally:
-        os.unlink(journal_path)
+    def run_once(armed: bool) -> float:
+        nonlocal events
+        obs = None
+        if armed:
+            with tempfile.NamedTemporaryFile(suffix=".ndjson", delete=False) as tmp:
+                journal_path = tmp.name
+            obs = SweepObserver(journal=Journal(journal_path))
+        try:
+            gc.collect()
+            with _gc_paused():
+                start = time.perf_counter()
+                results["armed" if armed else "off"] = run_sweep(
+                    spec, workers=workers, obs=obs
+                )
+                elapsed = time.perf_counter() - start
+            if obs is not None:
+                obs.close("done")
+                events = len(read_journal(journal_path))
+        finally:
+            if armed:
+                os.unlink(journal_path)
+        return elapsed
+
+    # Two timed rounds: one with each arm first.
+    best = _alternating(
+        {"off": lambda: run_once(False), "armed": lambda: run_once(True)}, 2
+    )
+    off_s, armed_s = best["off"], best["armed"]
+    off, armed = results["off"], results["armed"]
 
     return {
         "cells": len(policies),
@@ -837,7 +838,6 @@ def render(results: dict[str, Any]) -> str:
     ycsb = results["ycsb_a"]
     lines = [
         f"touch      per-access {touch['per_access_ops_per_sec']:>10,} ops/s"
-        f"  object {touch['object_batched_ops_per_sec']:>10,} ops/s"
         f"  array {touch['batched_ops_per_sec']:>10,} ops/s"
         f"  speedup {touch['speedup']:.2f}x"
         f"  identical={touch['identical']}",

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 from repro.machine import Machine
 from repro.sim.config import SimulationConfig
 from repro.sim.vclock import NANOS_PER_SECOND
-from repro.workloads.base import NumericWorkload, PageAccess, Workload
+from repro.workloads.base import NumericWorkload, PageAccess, SegmentWorkload, Workload
 
 __all__ = ["RunResult", "run_workload", "run_numeric_stream"]
 
@@ -150,25 +150,31 @@ def run_workload(
     back to back on warm state (the YCSB prescribed execution sequence);
     otherwise a fresh machine is built from ``config``.
 
-    By default a :class:`~repro.workloads.base.NumericWorkload` is
-    driven through :meth:`Machine.touch_batch_array` and any other
-    workload through :meth:`Machine.touch_batch`; ``batch=False``
-    selects the original one-call-per-access loop over
-    ``workload.accesses()``, the scalar oracle both fast drivers are
-    tested against.  All three produce identical results.
+    By default the access driver runs the stream: a
+    :class:`~repro.workloads.base.NumericWorkload` through its
+    single-process entry :meth:`Machine.touch_batch_array`, a
+    :class:`~repro.workloads.base.SegmentWorkload` (multi-tenant
+    interleaves, trace replay) through its multi-process entry
+    :meth:`Machine.touch_batch`.  ``batch=False`` -- and any workload
+    that yields neither numeric batches nor segments -- selects the
+    one-call-per-access loop over ``workload.accesses()``, the scalar
+    oracle the driver is tested against.  Both produce identical
+    results.
     """
 
     def drive(machine: Machine) -> tuple[int, int]:
-        if not batch:
-            return _touch_each(machine, workload.accesses())
-        if type(workload).accesses is NumericWorkload.accesses:
+        # A subclass overriding accesses() defines its stream there.
+        derived = type(workload).accesses
+        if batch and derived is NumericWorkload.accesses:
             return machine.touch_batch_array(
                 workload.process,  # type: ignore[attr-defined]
                 workload.numeric_batches(),  # type: ignore[attr-defined]
                 lines=workload.lines,  # type: ignore[attr-defined]
                 cache=workload.cpu_cache,  # type: ignore[attr-defined]
             )
-        return machine.touch_batch(workload.accesses())
+        if batch and derived is SegmentWorkload.accesses:
+            return machine.touch_batch(workload.segments())  # type: ignore[attr-defined]
+        return _touch_each(machine, workload.accesses())
 
     return _measured(workload, config, policy, machine, drive)
 

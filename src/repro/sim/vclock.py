@@ -27,10 +27,11 @@ class VirtualClock:
     buckets are accounted separately so experiments can report overhead.
     """
 
-    # Invariant: _now_ns == start_ns + _app_ns + _system_ns.  The batched
-    # access path (Machine.touch_batch) bumps _now_ns/_app_ns directly to
-    # skip per-access method-call overhead — keep these three fields (and
-    # that invariant) in sync with advance_app/advance_system.
+    # Invariant: _now_ns == start_ns + _app_ns + _system_ns.  The access
+    # driver (Machine.touch_batch_array and Machine.touch_batch, one body)
+    # bumps _now_ns/_app_ns directly to skip per-access method-call
+    # overhead — keep these three fields (and that invariant) in sync
+    # with advance_app/advance_system.
     def __init__(self, start_ns: int = 0) -> None:
         if start_ns < 0:
             raise ValueError(f"start_ns must be non-negative, got {start_ns}")

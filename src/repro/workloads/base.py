@@ -13,13 +13,20 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from repro.machine import Machine
 from repro.mm.address_space import Process
 from repro.mm.hardware import ABSORB_HEAD, CpuCache
 
-__all__ = ["PageAccess", "Workload", "NumericWorkload", "page_accesses"]
+__all__ = [
+    "PageAccess",
+    "Workload",
+    "NumericWorkload",
+    "SegmentWorkload",
+    "segment_accesses",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,31 +97,51 @@ class NumericWorkload(Workload):
 
     def accesses(self) -> Iterator[PageAccess]:
         assert self.process is not None, "setup() must run before accesses()"
-        return page_accesses(
-            self.process, self.numeric_batches(), lines=self.lines, cache=self.cpu_cache
+        return segment_accesses(
+            zip(repeat(self.process), self.numeric_batches()),
+            lines=self.lines,
+            cache=self.cpu_cache,
         )
 
 
-def page_accesses(
-    process: Process,
-    batches: Iterable[tuple],
+class SegmentWorkload(Workload):
+    """A multi-process workload whose stream is ``(process, batch)`` segments.
+
+    :meth:`segments` defines the stream and :meth:`accesses` is derived
+    from it, so :func:`repro.run.run_workload` drives such a workload
+    through :meth:`Machine.touch_batch` and the scalar oracle sees the
+    same stream by construction.
+    """
+
+    @abc.abstractmethod
+    def segments(self) -> Iterator[tuple[Process, tuple]]:
+        """The stream, as segments for :meth:`Machine.touch_batch`:
+        each one process's ``(vpages, writes, lines, boundary, absorb)``
+        column batch, whose absorb codes are ignored."""
+
+    def accesses(self) -> Iterator[PageAccess]:
+        return segment_accesses(self.segments())
+
+
+def segment_accesses(
+    segments: Iterable[tuple[Process, tuple]],
     *,
     lines: int = 1,
     cache: CpuCache | None = None,
 ) -> Iterator[PageAccess]:
-    """The object stream of a numeric batch stream.
+    """The object stream of ``(process, batch)`` segments.
 
-    ``batches`` is what :meth:`~repro.machine.Machine.touch_batch_array`
-    drives: ``(vpages, writes)`` pairs, every access ``lines`` wide and an
-    operation boundary, or ``(vpages, writes, lines, boundary, absorb)``
-    column batches whose absorbable touches pass ``cache``'s filter
-    against the live page table as the stream is consumed.  This is the
-    scalar reference for the array driver: fed to :meth:`Machine.touch`
-    one access at a time it reproduces the array driver bit for bit.
+    Each ``batch`` is what :meth:`~repro.machine.Machine.touch_batch_array`
+    drives: a ``(vpages, writes)`` pair, every access ``lines`` wide and
+    an operation boundary, or a ``(vpages, writes, lines, boundary,
+    absorb)`` column batch whose absorbable touches pass ``cache``'s
+    filter against the live page table as the stream is consumed.  This
+    is the scalar reference for the access driver: fed to
+    :meth:`Machine.touch` one access at a time it reproduces the driver
+    bit for bit.
     """
-    page_table = process.page_table
     absorbed = False
-    for batch in batches:
+    for process, batch in segments:
         if len(batch) == 2:
             for vpage, is_write in zip(batch[0].tolist(), batch[1].tolist()):
                 yield PageAccess(process, vpage, is_write=is_write, op_boundary=True, lines=lines)
@@ -122,7 +149,7 @@ def page_accesses(
         for vpage, is_write, width, boundary, code in zip(*(col.tolist() for col in batch)):
             if code and cache is not None:
                 if code == ABSORB_HEAD:
-                    absorbed = cache.absorbs(page_table, vpage)
+                    absorbed = cache.absorbs(process.page_table, vpage)
                 if absorbed:
                     continue
             yield PageAccess(

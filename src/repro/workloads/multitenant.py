@@ -18,18 +18,26 @@ import numpy as np
 from repro.machine import Machine
 from repro.mm.address_space import Process
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess, Workload
-from repro.workloads.kvstore import PageTouch, SlabKVStore
+from repro.workloads.base import NumericWorkload, SegmentWorkload
+from repro.workloads.kvstore import INSERT, READ, UPDATE, PageTouch, SlabKVStore
 
 __all__ = ["MultiTenantWorkload", "KVTenantWorkload"]
 
+_BLOCK = 512
 
-class MultiTenantWorkload(Workload):
-    """Round-robin interleaving of several child workloads."""
+
+class MultiTenantWorkload(SegmentWorkload):
+    """Round-robin interleaving of several single-process tenants.
+
+    Every tenant is a :class:`~repro.workloads.base.NumericWorkload`
+    without a CPU-cache filter: its numeric batches are sliced into
+    bursts of ``batch`` accesses, one ``(process, columns)`` segment per
+    slice.
+    """
 
     def __init__(
         self,
-        tenants: Sequence[Workload],
+        tenants: Sequence[NumericWorkload],
         *,
         home_sockets: Sequence[int] | None = None,
         batch: int = 16,
@@ -40,6 +48,11 @@ class MultiTenantWorkload(Workload):
             raise ValueError("home_sockets must match tenants one-to-one")
         if batch <= 0:
             raise ValueError("batch must be positive")
+        for tenant in tenants:
+            if not isinstance(tenant, NumericWorkload) or tenant.cpu_cache is not None:
+                raise ValueError(
+                    f"tenant {tenant.name} is not a numeric workload without a CPU cache"
+                )
         self.tenants = list(tenants)
         self.home_sockets = list(home_sockets) if home_sockets else None
         self.batch = batch
@@ -55,40 +68,56 @@ class MultiTenantWorkload(Workload):
         for i, tenant in enumerate(self.tenants):
             tenant.setup(machine)
             if self.home_sockets is not None:
-                process = getattr(tenant, "process", None)
-                if process is None:
+                if tenant.process is None:
                     raise ValueError(
                         f"tenant {tenant.name} exposes no process to pin"
                     )
-                process.home_socket = self.home_sockets[i]
+                tenant.process.home_socket = self.home_sockets[i]
 
     def footprint_pages(self) -> int:
         return sum(tenant.footprint_pages() for tenant in self.tenants)
 
-    def accesses(self) -> Iterator[PageAccess]:
-        """Interleave tenants in batches until every stream is drained.
+    def segments(self) -> Iterator[tuple[Process, tuple]]:
+        """Interleave tenants in bursts until every stream is drained.
 
         Batched round-robin mimics scheduler timeslices: each tenant runs
         a short burst, so their access patterns interleave at a realistic
         granularity rather than per-single-access.
         """
-        streams = [tenant.accesses() for tenant in self.tenants]
-        live = list(range(len(streams)))
-        while live:
-            finished = []
-            for index in live:
-                stream = streams[index]
-                for __ in range(self.batch):
-                    access = next(stream, None)
-                    if access is None:
-                        finished.append(index)
-                        break
-                    yield access
-            for index in finished:
-                live.remove(index)
+        streams = [self._bursts(tenant) for tenant in self.tenants]
+        while streams:
+            for stream in list(streams):
+                burst = next(stream, None)
+                if burst is None:
+                    streams.remove(stream)
+                else:
+                    yield burst
+
+    def _bursts(self, tenant: NumericWorkload) -> Iterator[tuple[Process, tuple]]:
+        """``tenant``'s stream re-cut into segments of ``batch`` accesses
+        (the last may be short)."""
+        size = self.batch
+        carry: tuple = ()
+        for batch in tenant.numeric_batches():
+            if len(batch) == 2:
+                n = len(batch[0])
+                batch = (
+                    *batch,
+                    np.full(n, tenant.lines, dtype=np.int64),
+                    np.ones(n, dtype=bool),
+                    np.zeros(n, dtype=np.int8),
+                )
+            if carry:
+                batch = tuple(map(np.concatenate, zip(carry, batch)))
+            cut = len(batch[0]) // size * size
+            for lo in range(0, cut, size):
+                yield tenant.process, tuple(col[lo : lo + size] for col in batch)
+            carry = tuple(col[cut:] for col in batch)
+        if carry and len(carry[0]):
+            yield tenant.process, carry
 
 
-class KVTenantWorkload(Workload):
+class KVTenantWorkload(NumericWorkload):
     """One Memcached-like tenant of a colocated service machine.
 
     A :class:`~repro.workloads.kvstore.SlabKVStore` driven by
@@ -106,10 +135,10 @@ class KVTenantWorkload(Workload):
     The stream starts with the load phase (every record inserted in slab
     order), then runs GET/SET traffic at ``read_ratio``.  Each operation
     is a hash-bucket probe plus a record touch; the last touch of every
-    operation carries ``op_boundary``.  ``operations()`` exposes the
-    per-op touch lists directly for drivers that meter per-operation
-    latency (the colocation experiment); a stream is single-use because
-    it mutates the slab layout as it loads.
+    operation carries ``op_boundary``.  ``operations()`` regroups the
+    same column stream into per-op touch lists for drivers that meter
+    per-operation latency (the colocation experiment); a stream is
+    single-use because it mutates the slab layout as it loads.
     """
 
     marks_op_boundaries = True
@@ -162,10 +191,13 @@ class KVTenantWorkload(Workload):
         counts[-1] += self.ops - int(bounds[-1])
         return counts.tolist()
 
-    def operations(self) -> Iterator[list[PageTouch]]:
-        """Per-operation touch lists: the load phase, then the traffic."""
-        for key in range(self.n_records):
-            yield self.store.insert(key)
+    def numeric_batches(self) -> Iterator[tuple]:
+        """The load phase, then the traffic, as column batches of whole
+        operations: a bucket probe, then the record touch that carries
+        the operation boundary."""
+        for lo in range(0, self.n_records, _BLOCK):
+            keys = np.arange(lo, min(lo + _BLOCK, self.n_records))
+            yield self._columns(np.full(len(keys), INSERT), keys)
         rng = make_rng(
             self.seed, f"kv-{self.name}-{self.n_records}-{self.alpha}"
         )
@@ -177,24 +209,31 @@ class KVTenantWorkload(Workload):
             key_of_rank = rng.permutation(self.n_records)
             emitted = 0
             while emitted < count:
-                n = min(512, count - emitted)
+                n = min(_BLOCK, count - emitted)
                 picks = rng.choice(self.n_records, size=n, p=weights)
                 keys = key_of_rank[picks]
                 reads = rng.random(n) < self.read_ratio
-                for key, is_read in zip(keys.tolist(), reads.tolist()):
-                    yield (
-                        self.store.read(key) if is_read
-                        else self.store.update(key)
-                    )
+                yield self._columns(np.where(reads, READ, UPDATE), keys)
                 emitted += n
 
-    def accesses(self) -> Iterator[PageAccess]:
-        process = self.process
-        assert process is not None, "setup() must run before accesses()"
-        for touches in self.operations():
-            last = len(touches) - 1
-            for i, touch in enumerate(touches):
-                yield PageAccess(
-                    process, touch.vpage, is_write=touch.is_write,
-                    op_boundary=(i == last), lines=touch.lines,
-                )
+    def _columns(self, kinds: np.ndarray, keys: np.ndarray) -> tuple:
+        vpages, writes, lines = self.store.rows(kinds, keys)
+        boundary = np.zeros(vpages.shape, dtype=bool)
+        boundary[:, 1] = True
+        return (
+            vpages.ravel(),
+            writes.ravel(),
+            lines.ravel(),
+            boundary.ravel(),
+            np.zeros(vpages.size, dtype=np.int8),
+        )
+
+    def operations(self) -> Iterator[list[PageTouch]]:
+        """Per-operation touch lists: the load phase, then the traffic."""
+        for vpages, writes, lines, __, __ in self.numeric_batches():
+            for vpage, is_write, width in zip(
+                vpages.reshape(-1, 2).tolist(),
+                writes.reshape(-1, 2).tolist(),
+                lines.reshape(-1, 2).tolist(),
+            ):
+                yield [PageTouch(v, w, n) for v, w, n in zip(vpage, is_write, width)]

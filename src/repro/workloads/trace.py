@@ -3,9 +3,12 @@
 The reproduction is trace driven at heart, so traces are first-class: any
 workload can be recorded while it runs (:class:`TraceRecorder`) and the
 resulting file replayed later (:class:`TraceReplayWorkload`) against any
-policy or configuration.  This is how one captures an expensive workload
-once (a long GAPBS kernel, a full YCSB sequence) and sweeps policies over
-it cheaply — and how external traces can be brought into the simulator.
+policy or configuration — which is how external traces are brought into
+the simulator.  Recording is a one-shot capture: it tees the workload's
+object stream, so it runs on the scalar :meth:`Machine.touch` oracle.
+Replay parses the file in chunks into per-process column runs and
+drives them as segments through the access driver's multi-process entry
+(:meth:`Machine.touch_batch`), like every other multi-process stream.
 
 File format: a one-line JSON header describing the processes and their
 regions, then one line per access::
@@ -21,16 +24,21 @@ traces externally if needed.
 from __future__ import annotations
 
 import json
+from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from repro.machine import Machine
 from repro.mm.address_space import MemoryRegion, Process
-from repro.workloads.base import PageAccess, Workload
+from repro.workloads.base import PageAccess, SegmentWorkload, Workload
 
 __all__ = ["TraceRecorder", "TraceReplayWorkload", "TRACE_VERSION"]
 
 TRACE_VERSION = 1
+
+_CHUNK = 4096  # trace lines parsed per step of a replay
 
 
 def _region_spec(region: MemoryRegion) -> list:
@@ -93,7 +101,7 @@ class TraceRecorder(Workload):
                 yield access
 
 
-class TraceReplayWorkload(Workload):
+class TraceReplayWorkload(SegmentWorkload):
     """Replays a recorded trace file as a workload."""
 
     def __init__(self, path: str | Path) -> None:
@@ -126,21 +134,42 @@ class TraceReplayWorkload(Workload):
             for __, n_pages, __a, __s in spec["regions"]
         )
 
-    def accesses(self) -> Iterator[PageAccess]:
+    def segments(self) -> Iterator[tuple[Process, tuple]]:
         with self.path.open() as fh:
             fh.readline()  # header
-            for line_no, line in enumerate(fh, start=2):
-                yield self._parse(line, line_no)
+            line_no = 2
+            while chunk := list(islice(fh, _CHUNK)):
+                try:
+                    index, columns = self._columns(chunk)
+                except ValueError:
+                    for offset, line in enumerate(chunk):
+                        try:
+                            self._columns([line])
+                        except ValueError as exc:
+                            raise ValueError(
+                                f"{self.path}:{line_no + offset}: malformed trace line"
+                            ) from exc
+                    raise
+                cuts = (np.flatnonzero(index[1:] != index[:-1]) + 1).tolist()
+                for lo, hi in zip([0] + cuts, cuts + [len(chunk)]):
+                    yield self._processes[index[lo]], tuple(col[lo:hi] for col in columns)
+                line_no += len(chunk)
 
-    def _parse(self, line: str, line_no: int) -> PageAccess:
-        try:
-            index, vpage, rw, lines, boundary = line.split()
-            return PageAccess(
-                self._processes[int(index)],
-                int(vpage),
-                is_write=(rw == "w"),
-                lines=int(lines),
-                op_boundary=(boundary == "o"),
-            )
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{self.path}:{line_no}: malformed trace line") from exc
+    def _columns(self, chunk: list[str]) -> tuple[np.ndarray, tuple]:
+        """``chunk``'s process indices and access columns; raises
+        ValueError when any of its lines is malformed."""
+        rows = [line.split() for line in chunk]
+        if any(len(row) != 5 for row in rows):
+            raise ValueError("a trace line has five fields")
+        fields = list(chain.from_iterable(rows))
+        n = len(rows)
+        index = np.fromiter(map(int, fields[0::5]), np.int64, n)
+        if index.min() < 0 or index.max() >= len(self._processes):
+            raise ValueError("process index out of range")
+        return index, (
+            np.fromiter(map(int, fields[1::5]), np.int64, n),
+            np.fromiter(map("w".__eq__, fields[2::5]), bool, n),
+            np.fromiter(map(int, fields[3::5]), np.int64, n),
+            np.fromiter(map("o".__eq__, fields[4::5]), bool, n),
+            np.zeros(n, dtype=np.int8),
+        )

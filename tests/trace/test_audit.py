@@ -24,7 +24,9 @@ def run_traced(policy="multiclock", *, capacity=None, pages=400, ops=5000):
     machine.enable_tracing(capacity_per_node=capacity)
     workload = ZipfWorkload(pages, ops, seed=7, write_ratio=0.2)
     workload.setup(machine)
-    machine.touch_batch(workload.accesses())
+    machine.touch_batch_array(
+        workload.process, workload.numeric_batches(), lines=workload.lines
+    )
     return machine
 
 
@@ -83,11 +85,15 @@ def test_mid_run_enable_baselines_the_counters():
     machine = Machine(CONFIG, "multiclock")
     warm = ZipfWorkload(300, 2000, seed=7, write_ratio=0.2)
     warm.setup(machine)
-    machine.touch_batch(warm.accesses())
+    machine.touch_batch_array(
+        warm.process, warm.numeric_batches(), lines=warm.lines
+    )
     machine.enable_tracing()
     more = ZipfWorkload(300, 2000, seed=11, write_ratio=0.2)
     more.setup(machine)
-    machine.touch_batch(more.accesses())
+    machine.touch_batch_array(
+        more.process, more.numeric_batches(), lines=more.lines
+    )
     report = audit_machine(machine)
     # Replay may see migrations of pages allocated before tracing began;
     # counter cross-checks must be exact regardless.

@@ -24,7 +24,9 @@ def traced_run(policy="multiclock", pages=400, ops=4000):
     tracer = machine.enable_tracing()
     workload = ZipfWorkload(pages, ops, seed=7, write_ratio=0.2)
     workload.setup(machine)
-    machine.touch_batch(workload.accesses())
+    machine.touch_batch_array(
+        workload.process, workload.numeric_batches(), lines=workload.lines
+    )
     return machine, tracer
 
 
@@ -93,7 +95,9 @@ def test_tracing_does_not_perturb_the_simulation():
             machine.enable_tracing()
         workload = ZipfWorkload(300, 3000, seed=7, write_ratio=0.2)
         workload.setup(machine)
-        machine.touch_batch(workload.accesses())
+        machine.touch_batch_array(
+            workload.process, workload.numeric_batches(), lines=workload.lines
+        )
         return machine.stats.snapshot(), machine.clock.now_ns
 
     assert run(True) == run(False)

@@ -8,7 +8,7 @@ filter stage decides absorption on whole runs.  Both must produce the
 same results, leave the kernel's cache draws in the same state, and
 compute the same algorithm outputs, for every kernel under every kind
 of policy: column-sweep policies that demote and promote, and
-hint-fault policies whose poisoned PTEs force the scalar remainder.
+hint-fault policies whose poisoned PTEs force the scalar step.
 """
 
 from __future__ import annotations

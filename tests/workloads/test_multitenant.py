@@ -82,9 +82,9 @@ def test_marks_op_boundaries_derived_from_children():
     """Regression: the combinator used to inherit the class default
     (False) even when every child marked boundaries, so a phase that
     completed zero operations reported accesses/s as its throughput."""
-    from repro.workloads.base import Workload
+    from repro.workloads.base import NumericWorkload
 
-    class Unmarked(Workload):
+    class Unmarked(NumericWorkload):
         name = "unmarked"
 
         def setup(self, machine):
@@ -93,7 +93,7 @@ def test_marks_op_boundaries_derived_from_children():
         def footprint_pages(self):
             return 0
 
-        def accesses(self):
+        def numeric_batches(self):
             return iter(())
 
     marking = MultiTenantWorkload([ZipfWorkload(10, 10), UniformWorkload(10, 10)])
